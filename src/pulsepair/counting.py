@@ -11,12 +11,20 @@ independent background probability per window.  D1 and D2 in the same window
 count as a coincidence; D1 at window i with D2 at window i+1 feeds the
 delayed-window accidental estimate.
 
-Randomness is counter-based and keyed by (seed, pulse index, draw index), so
-a run is bit-reproducible regardless of chunking or worker count.
+The Monte Carlo visits only event pulses: those with at least one pair or a
+background click, P(event) = 1 - (1 - b1)(1 - b2) exp(-lambda).  Their
+positions come from geometric gaps between events, drawn from a block-level
+counter stream keyed by (seed, block of 4096 pulses, word index).  Each event
+pulse takes its pair number and background clicks in one draw from their
+joint distribution given an event, and routes its pairs, from the pulse-level
+stream keyed by (seed, pulse index, draw index).  A run is therefore
+bit-reproducible regardless of chunking or worker count, and its cost grows
+with the number of event pulses, not of pulses.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +36,6 @@ from .polarization import DensityMatrix, coincidence_probability
 from .source import SourceConfig, emitted_state
 
 FIRST_ORDER_LAMBDA_LIMIT = 0.1
-_DEFAULT_CHUNK = 1 << 18
 
 
 class ModelRegimeWarning(UserWarning):
@@ -171,41 +178,61 @@ def subtract_accidentals(rec: CountRecord) -> float:
 
 # --- Monte Carlo engine ----------------------------------------------------
 
-# draw indices within one pulse: 0 poisson, 1/2 backgrounds, then 5 per pair
-_DRAW_POISSON = 0
-_DRAW_BG1 = 1
-_DRAW_BG2 = 2
-_PAIR_DRAW_BASE = 3
+# The event stream is keyed per block of pulses; chunk bounds fall on block
+# bounds, so a chunk never needs a block's gaps that another chunk drew.
+_BLOCK_BITS = 12
+_BLOCK = 1 << _BLOCK_BITS
+# expected event pulses in one default chunk
+_CHUNK_EVENTS = 1 << 14
+# draw indices within one event pulse: 0 its joint (k, bg1, bg2) cell, then 5 per pair
+_DRAW_CELL = 0
+_PAIR_DRAW_BASE = 1
 _PAIR_DRAW_STRIDE = 5
 
 
-def _poisson_thresholds(lam: float) -> np.ndarray:
-    """uint64 CDF thresholds for Poisson(lam), truncated at ~1e-18 tail mass."""
-    if lam <= 0.0:
-        return np.array([rng.MASK64], dtype=np.uint64)
-    kmax = int(lam + 10.0 * np.sqrt(lam) + 30.0)
-    pmf = np.exp(-lam)
-    cdf = [pmf]
-    k = 0
-    while 1.0 - cdf[-1] > 1e-18 and k < kmax:
-        k += 1
-        pmf *= lam / k
-        cdf.append(cdf[-1] + pmf)
+def _event_cells(lam: float, b1: float, b2: float) -> np.ndarray:
+    """uint64 CDF thresholds of a pulse's (pairs, bg1, bg2) given an event.
+
+    Cell c holds k = c >> 2 pairs, a D1 background click if c & 1 and a D2
+    background click if c & 2.  The all-empty cell 0 is left out, so
+    threshold i closes cell i + 1.  The Poisson table ends ten standard
+    deviations plus 30 above lam, where its tail mass is below 1e-20; the
+    table stops at the first cell where the float64 CDF reaches 1, since
+    later cells carry less mass than the thresholds resolve.
+    """
+    if lam > 0.0:
+        k = np.arange(int(lam + 10.0 * np.sqrt(lam) + 30.0) + 1)
+        log_factorial = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+        # in log space: exp(-lam) alone underflows for large lam
+        pmf = np.exp(k * np.log(lam) - lam - log_factorial)
+    else:
+        pmf = np.ones(1)
+    bg = np.array([(1 - b1) * (1 - b2), b1 * (1 - b2), (1 - b1) * b2, b1 * b2])
+    cdf = np.cumsum(np.outer(pmf, bg).ravel()[1:])
+    cdf = cdf[: int(np.argmax(cdf >= cdf[-1])) + 1] / cdf[-1]
     # cap strictly below 2**64 so the uint64 cast cannot wrap
     cap = np.nextafter(2.0**64, 0.0)
-    thresholds = np.minimum(np.array(cdf) * 2.0**64, cap)
-    out = thresholds.astype(np.uint64)
+    out = np.minimum(cdf * 2.0**64, cap).astype(np.uint64)
     out[-1] = np.uint64(rng.MASK64)
     return out
+
+
+def _gap_words(p_event: float) -> int:
+    """Gap words drawn per block and pass: one more than the block's expected
+    events plus four standard deviations, so few blocks need a second pass."""
+    mean = _BLOCK * p_event
+    return min(int(mean + 4.0 * np.sqrt(mean * (1.0 - p_event))) + 2, _BLOCK + 1)
 
 
 @dataclass(frozen=True)
 class _PulseTables:
     """Precomputed sampling tables shared by all chunks of one run."""
 
-    key: int
-    pois_cdf: np.ndarray  # uint64 CDF thresholds for the pair number
-    bg_thr: tuple[np.uint64, np.uint64]
+    key: int  # pulse stream: per-event draws
+    block_key: int  # block stream: event positions
+    log_q: float  # ln P(no pair and no background click) for one pulse
+    gap_words: int
+    cell_cdf: np.ndarray  # uint64 thresholds of the joint (k, bg1, bg2) cells
     eta_thr: np.ndarray  # uint64 thresholds per port, shape (2,)
     case_cum: np.ndarray  # uint64 outcome thresholds per routing case, (4, 3)
 
@@ -237,10 +264,14 @@ def _build_tables(
             for pb in (0, 1)
         ]
     )
+    b1, b2 = det.background_prob1, det.background_prob2
+    log_q = float(np.log1p(-b1) + np.log1p(-b2) - lam)
     return _PulseTables(
         key=rng.stream_key(run.seed),
-        pois_cdf=_poisson_thresholds(lam),
-        bg_thr=(rng.threshold(det.background_prob1), rng.threshold(det.background_prob2)),
+        block_key=rng.block_stream_key(run.seed),
+        log_q=log_q,
+        gap_words=_gap_words(-np.expm1(log_q)),
+        cell_cdf=_event_cells(lam, b1, b2) if log_q < 0.0 else np.empty(0, np.uint64),
         eta_thr=np.array(
             [rng.threshold(det.efficiency1), rng.threshold(det.efficiency2)],
             dtype=np.uint64,
@@ -249,30 +280,61 @@ def _build_tables(
     )
 
 
+def _event_pulses(tables: _PulseTables, lo: int, hi: int) -> np.ndarray:
+    """Sorted indices of the pulses in [lo, hi) with a pair or a background click.
+
+    ``lo`` is a block bound and ``hi`` a block bound or the end of the run.
+    Word j of block b gives the geometric gap floor(ln U / ln q) between event
+    pulses, U in (0, 1]; a block whose words run out before it ends draws the
+    next ones by word index, so the events depend only on (seed, block, word).
+    """
+    if tables.log_q == 0.0:
+        return np.empty(0, np.int64)
+    blocks = np.arange(lo >> _BLOCK_BITS, -(-hi >> _BLOCK_BITS), dtype=np.uint64)
+    keys = rng.pulse_keys(tables.block_key, blocks)[:, None]
+    # positions are float64 pulse indices, exact below 2**53
+    starts = blocks.astype(np.float64) * _BLOCK
+    ends = np.minimum(starts + _BLOCK, hi)
+    last = starts - 1.0  # last position drawn per block
+    rows = np.arange(blocks.size)
+    found = []
+    first_word = 0
+    while rows.size:
+        words = np.arange(first_word, first_word + tables.gap_words, dtype=np.uint64)
+        u = rng.to_unit(rng.draw_at(keys[rows], words))
+        # 1 - u lies in (0, 1], so each step is finite or +inf, never NaN
+        pos = np.cumsum(np.floor(np.log1p(-u) / tables.log_q) + 1.0, axis=1)
+        pos += last[rows, None]
+        found.append(pos[pos < ends[rows, None]])
+        last[rows] = pos[:, -1]
+        rows = rows[pos[:, -1] < ends[rows]]
+        first_word += tables.gap_words
+    events = np.concatenate(found).astype(np.int64)
+    # a second pass appends a block's later events behind other blocks
+    return events if len(found) == 1 else np.sort(events)
+
+
 def _run_chunk(tables: _PulseTables, lo: int, hi: int) -> tuple[int, int, int, int, bool, bool]:
     """Tallies for pulses [lo, hi): singles, coincidences, in-chunk accidentals
     and the edge detector flags needed to stitch accidentals across chunks."""
-    n = hi - lo
-    keys = rng.pulse_keys(tables.key, np.arange(lo, hi, dtype=np.uint64))
+    events = _event_pulses(tables, lo, hi)
+    if events.size == 0:
+        return 0, 0, 0, 0, False, False
+    keys = rng.pulse_keys(tables.key, events.astype(np.uint64))
+    cell = np.searchsorted(tables.cell_cdf, rng.draw(keys, _DRAW_CELL), side="right")
+    np.minimum(cell, tables.cell_cdf.size - 1, out=cell)
+    cell += 1
+    k = cell >> 2
+    d1 = (cell & 1).astype(bool)
+    d2 = (cell & 2).astype(bool)
 
-    k = np.zeros(n, dtype=np.int64)
-    if len(tables.pois_cdf) > 1:
-        u = rng.draw(keys, _DRAW_POISSON)
-        hot = u >= tables.pois_cdf[0]
-        if hot.any():
-            k[hot] = np.searchsorted(tables.pois_cdf, u[hot], side="right")
-            np.minimum(k, len(tables.pois_cdf) - 1, out=k)
-
-    d1 = rng.draw(keys, _DRAW_BG1) < tables.bg_thr[0] if tables.bg_thr[0] else np.zeros(n, bool)
-    d2 = rng.draw(keys, _DRAW_BG2) < tables.bg_thr[1] if tables.bg_thr[1] else np.zeros(n, bool)
-
-    pulses_hot = np.nonzero(k)[0]
-    if pulses_hot.size:
-        kk = k[pulses_hot]
-        pair_pulse = np.repeat(pulses_hot, kk)
-        pair_keys = keys[pair_pulse]
+    hot = np.nonzero(k)[0]
+    if hot.size:
+        kk = k[hot]
+        pair_event = np.repeat(hot, kk)
+        pair_keys = keys[pair_event]
         starts = np.cumsum(kk) - kk
-        ordinal = np.arange(pair_pulse.size, dtype=np.uint64) - np.repeat(starts, kk).astype(
+        ordinal = np.arange(pair_event.size, dtype=np.uint64) - np.repeat(starts, kk).astype(
             np.uint64
         )
         base = ordinal * np.uint64(_PAIR_DRAW_STRIDE) + np.uint64(_PAIR_DRAW_BASE)
@@ -287,18 +349,25 @@ def _run_chunk(tables: _PulseTables, lo: int, hi: int) -> tuple[int, int, int, i
         hit_a = pass_a & (rng.draw_at(pair_keys, base + np.uint64(3)) < tables.eta_thr[port_a])
         hit_b = pass_b & (rng.draw_at(pair_keys, base + np.uint64(4)) < tables.eta_thr[port_b])
 
-        at1 = np.concatenate([pair_pulse[hit_a & (port_a == 0)], pair_pulse[hit_b & (port_b == 0)]])
-        at2 = np.concatenate([pair_pulse[hit_a & (port_a == 1)], pair_pulse[hit_b & (port_b == 1)]])
-        if at1.size:
-            d1 = d1 | (np.bincount(at1, minlength=n) > 0)
-        if at2.size:
-            d2 = d2 | (np.bincount(at2, minlength=n) > 0)
+        d1[pair_event[hit_a & (port_a == 0)]] = True
+        d1[pair_event[hit_b & (port_b == 0)]] = True
+        d2[pair_event[hit_a & (port_a == 1)]] = True
+        d2[pair_event[hit_b & (port_b == 1)]] = True
 
     singles1 = int(np.count_nonzero(d1))
     singles2 = int(np.count_nonzero(d2))
     coincidences = int(np.count_nonzero(d1 & d2))
-    accidentals = int(np.count_nonzero(d1[:-1] & d2[1:]))
-    return singles1, singles2, coincidences, accidentals, bool(d1[-1]), bool(d2[0])
+    # D1 at one event pulse and D2 at the next, when that is the next pulse
+    adjacent = events[1:] == events[:-1] + 1
+    accidentals = int(np.count_nonzero(d1[:-1] & d2[1:] & adjacent))
+    return (
+        singles1,
+        singles2,
+        coincidences,
+        accidentals,
+        bool(d1[-1]) and int(events[-1]) == hi - 1,
+        bool(d2[0]) and int(events[0]) == lo,
+    )
 
 
 def simulate_run(
@@ -311,25 +380,36 @@ def simulate_run(
 ) -> CountRecord:
     """Simulate ``run.n_pulses`` windows and tally counts.
 
-    The result depends only on (seed, configs): chunk size and worker count
-    are pure throughput knobs.  Workers share the numpy-heavy chunk kernel
-    through a thread pool.
+    Only pulses with a pair or a background click are visited.  Their
+    positions are keyed by (seed, block of 4096 pulses, word); each such
+    pulse's pair number, background clicks and pair routing are keyed by
+    (seed, pulse, draw).  The result therefore depends only on (seed,
+    configs): chunk size and worker count are pure throughput knobs.  The
+    counts for a given seed differ from those of the earlier sampler, which
+    drew every pulse.  Chunks are whole blocks (``chunk_size`` is rounded up
+    to one); by default a chunk holds about 16 k expected event pulses.  Up
+    to min(workers, chunks, CPUs) threads share the numpy-heavy chunk kernel.
     """
     rho = emitted_state(cfg)
     lam = cfg.mean_pairs_per_pulse
     tables = _build_tables(rho, theta1, theta2, det, run, lam)
 
     if chunk_size is None:
-        chunk_size = _DEFAULT_CHUNK if lam <= 1.0 else max(1 << 14, int(_DEFAULT_CHUNK / lam))
-    if chunk_size < 1:
+        events_per_block = _BLOCK * -np.expm1(tables.log_q)
+        chunk_blocks = max(1, int(_CHUNK_EVENTS / max(events_per_block, 1.0)))
+    elif chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    bounds = list(range(0, run.n_pulses, chunk_size)) + [run.n_pulses]
+    else:
+        chunk_blocks = -(-chunk_size >> _BLOCK_BITS)
+    step = chunk_blocks * _BLOCK
+    bounds = list(range(0, run.n_pulses, step)) + [run.n_pulses]
     ranges = list(zip(bounds[:-1], bounds[1:]))
 
-    if run.workers == 1 or len(ranges) == 1:
+    threads = min(run.workers, len(ranges), os.cpu_count() or 1)
+    if threads == 1:
         results = [_run_chunk(tables, lo, hi) for lo, hi in ranges]
     else:
-        with ThreadPoolExecutor(max_workers=run.workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda r: _run_chunk(tables, *r), ranges))
 
     singles1 = sum(r[0] for r in results)

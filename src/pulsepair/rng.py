@@ -1,8 +1,9 @@
 """Counter-based random number streams for reproducible parallel simulation.
 
-Every uniform variate is addressed by (seed, pulse index, draw index) instead
-of being pulled from a sequential generator, so any partition of the pulse
-range over chunks or worker threads reproduces bit-identical outcomes.  The
+Every uniform variate is addressed by (seed, pulse index, draw index), or by
+(seed, block index, word index) in the block-level stream, instead of being
+pulled from a sequential generator, so any partition of the pulse range over
+chunks or worker threads reproduces bit-identical outcomes.  The
 mixing function is the splitmix64 output finalizer (Stafford mix 13) applied
 to a Weyl sequence, a standard construction for keyed counter streams.
 
@@ -16,9 +17,11 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 
 # Weyl increments: the golden-ratio gamma for the pulse-level stream and an
-# independent odd constant for draws within one pulse.
+# independent odd constant for draws within one pulse; BLOCK_GAMMA offsets
+# the seed of the block-level stream from that of the pulse-level one.
 PULSE_GAMMA = 0x9E3779B97F4A7C15
 DRAW_GAMMA = 0xD1B54A32D192ED03
+BLOCK_GAMMA = 0x8CB92BA72F3D8DD7
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -52,6 +55,15 @@ def stream_key(seed: int) -> int:
     return mix64_int((seed & MASK64) + PULSE_GAMMA)
 
 
+def block_stream_key(seed: int) -> int:
+    """Whiten a user seed into the base key of the block-level stream.
+
+    Blocks are keyed like pulses (:func:`pulse_keys`) and their words drawn
+    like draws (:func:`draw_at`), from a base key apart from :func:`stream_key`.
+    """
+    return mix64_int((seed & MASK64) + BLOCK_GAMMA)
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Child seed for an independent sub-stream (e.g. one per scan angle)."""
     return mix64_int(stream_key(seed) + (index + 1) * DRAW_GAMMA)
@@ -71,10 +83,11 @@ def draw(keys: np.ndarray, draw_index: int) -> np.ndarray:
 
 
 def draw_at(keys: np.ndarray, draw_indices: np.ndarray) -> np.ndarray:
-    """Like :func:`draw` but with a per-element uint64 draw-index array."""
-    off = (draw_indices + np.uint64(1)) * _DRAW_GAMMA_U64
-    off += keys
-    return mix64(off)
+    """Like :func:`draw` but with a uint64 draw-index array that broadcasts
+    against ``keys`` (per element, or a row of indices for a column of keys)."""
+    off = draw_indices + np.uint64(1)
+    off *= _DRAW_GAMMA_U64
+    return mix64(keys + off)
 
 
 def threshold(p: float) -> np.uint64:

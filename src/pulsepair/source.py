@@ -10,7 +10,8 @@ factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +44,10 @@ class SourceConfig:
     mean_pairs_per_pulse: float = 0.01
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            val = getattr(self, field.name)
+            if not math.isfinite(val):
+                raise ValueError(f"{field.name} must be finite, got {val}")
         if self.gain_up < 0 or self.gain_down < 0:
             raise ValueError("crystal gains must be nonnegative")
         if not 0.0 <= self.overlap_mu <= 1.0:

@@ -101,6 +101,25 @@ def enumerated_expected_rates(rho4, theta1, theta2, lam, det):
     return p1, p2, lam * both + p_acc, p_acc
 
 
+def enumerated_exact_rates(rho4, theta1, theta2, lam, det):
+    """Exact-in-lambda rates (p1, p2, p_coinc, p_acc) from the enumeration oracle.
+
+    The pairs of one pulse are Poisson(lam) and independent, so the pairs
+    clicking D1, D2 or both are thinned Poisson variables:
+    P(no D1) = (1 - b1) exp(-lam s1) and
+    P(neither) = (1 - b1)(1 - b2) exp(-lam (s1 + s2 - s12)).
+    """
+    s1, s2, both = enumerated_pair_rates(
+        rho4, theta1, theta2, det.efficiency1, det.efficiency2
+    )
+    b1, b2 = det.background_prob1, det.background_prob2
+    q1 = (1.0 - b1) * np.exp(-lam * s1)
+    q2 = (1.0 - b2) * np.exp(-lam * s2)
+    q0 = (1.0 - b1) * (1.0 - b2) * np.exp(-lam * (s1 + s2 - both))
+    p1, p2 = 1.0 - q1, 1.0 - q2
+    return p1, p2, 1.0 - q1 - q2 + q0, p1 * p2
+
+
 def fit_fringe_oracle(theta1s, counts):
     """Plain normal-equations fringe fit, independent of the package path."""
     x = np.column_stack([np.ones_like(theta1s), np.cos(2 * theta1s), np.sin(2 * theta1s)])

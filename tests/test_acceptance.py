@@ -1,8 +1,8 @@
 """Acceptance suite: one pass/fail line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line; the
-Monte Carlo criteria push several hundred million simulated pulses, so the
-module takes on the order of two minutes.
+Monte Carlo criteria push several hundred million simulated pulses, most of
+them empty, which the event sampler skips: the module takes seconds.
 
 Criterion 2 runs the canned imbalanced-source scenario of
 ``reproduce-fig3`` (pure state with VV/HH amplitude ratio 0.5943,

@@ -247,6 +247,22 @@ def test_bad_config_value_exits_one(tmp_path):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ({"PULSEPAIR_GAIN_UP": "nan"}, ["state"]),
+        ({"PULSEPAIR_MEAN_PAIRS_PER_PULSE": "inf"}, ["scan", "--mode", "monte-carlo"]),
+    ],
+)
+def test_non_finite_env_value_exits_one_with_one_line(monkeypatch, env, argv):
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    code, out, err = _run(argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "must be finite" in err, err
+
+
 def test_missing_config_file_exits_two(tmp_path):
     code, _, err = _run(["state", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pulsepair import counting
 from pulsepair import (
     CountRecord,
     DetectorConfig,
@@ -16,7 +17,7 @@ from pulsepair import (
     simulate_run,
     subtract_accidentals,
 )
-from oracles import enumerated_expected_rates, random_density_matrix
+from oracles import enumerated_exact_rates, enumerated_expected_rates, random_density_matrix
 
 DEG = np.pi / 180
 
@@ -223,3 +224,121 @@ def test_multi_pair_regime_runs_and_warns_only_in_model():
     cfg = SourceConfig(mean_pairs_per_pulse=2.0)
     rec = simulate_run(cfg, 0.1, 0.8, DetectorConfig(), RunConfig(20_000, seed=5))
     assert rec.singles1 > 0 and rec.coincidences > 0
+
+
+def _exact_pulls(rec, p1, p2, pc, pa):
+    """(observed - mean) / sigma of the four tallies of one run.
+
+    Accidentals count D1 at pulse i with D2 at pulse i + 1; neighbouring
+    windows share a pulse, which adds 2 (n - 2)(pa pc - pa^2) to the variance.
+    """
+    n = rec.n_pulses
+    var_acc = (n - 1) * pa * (1 - pa) + 2 * (n - 2) * (pa * pc - pa * pa)
+    return [
+        (rec.singles1 - n * p1) / np.sqrt(n * p1 * (1 - p1)),
+        (rec.singles2 - n * p2) / np.sqrt(n * p2 * (1 - p2)),
+        (rec.coincidences - n * pc) / np.sqrt(n * pc * (1 - pc)),
+        (rec.accidentals - (n - 1) * pa) / np.sqrt(var_acc),
+    ]
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_multi_pair_monte_carlo_matches_exact_rates(lam):
+    cfg = SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=lam)
+    rho = emitted_state(cfg).matrix
+    det = DetectorConfig(0.5, 0.7, 2e-3, 5e-3)
+    n = 200_000
+    for i, (d1, d2) in enumerate([(0, 0), (0, 45), (22.5, 45), (90, 45), (135, 60)]):
+        t1, t2 = d1 * DEG, d2 * DEG
+        rec = simulate_run(cfg, t1, t2, det, RunConfig(n, seed=7000 + i))
+        pulls = _exact_pulls(rec, *enumerated_exact_rates(rho, t1, t2, lam, det))
+        assert max(abs(p) for p in pulls) <= 5.0, (lam, d1, d2, pulls)
+
+
+# --- event sampler ----------------------------------------------------------------
+
+@pytest.mark.parametrize("words_per_pass", [1, 3, counting._BLOCK + 1])
+def test_event_positions_do_not_depend_on_gap_word_oversupply(monkeypatch, words_per_pass):
+    n = 3 * counting._BLOCK + 123
+    cases = [  # sparse, moderate, background only
+        (SourceConfig(mean_pairs_per_pulse=0.01), DetectorConfig(0.6, 0.6, 2.6e-3, 2.6e-3)),
+        (SourceConfig(gain_down=0.7, mean_pairs_per_pulse=0.5), DetectorConfig(0.5, 0.7, 1e-2, 0.0)),
+        (SourceConfig(mean_pairs_per_pulse=0.0), DetectorConfig(0.6, 0.6, 0.3, 0.2)),
+    ]
+    runs = [(cfg, det, RunConfig(n, seed=31 + i)) for i, (cfg, det) in enumerate(cases)]
+    expected = [simulate_run(cfg, 0.2, 0.9, det, run) for cfg, det, run in runs]
+    monkeypatch.setattr(counting, "_gap_words", lambda p_event: words_per_pass)
+    assert [simulate_run(cfg, 0.2, 0.9, det, run) for cfg, det, run in runs] == expected
+
+
+@pytest.mark.parametrize("lam, b1, b2", [(0.01, 2.6e-3, 2.6e-3), (2.0, 1e-3, 1e-3), (0.0, 0.05, 0.0)])
+def test_event_pulse_count_is_binomial(lam, b1, b2):
+    n = 1_000_000
+    cfg = SourceConfig(mean_pairs_per_pulse=lam)
+    det = DetectorConfig(0.6, 0.6, b1, b2)
+    tables = counting._build_tables(emitted_state(cfg), 0.0, 0.0, det, RunConfig(n, seed=77), lam)
+    events = counting._event_pulses(tables, 0, n)
+    assert events.size == 0 or (events[0] >= 0 and events[-1] < n)
+    assert np.all(np.diff(events) > 0)
+    p_event = 1 - (1 - b1) * (1 - b2) * np.exp(-lam)
+    assert _binomial_ok(events.size, n, p_event), (events.size, n * p_event)
+
+
+@pytest.mark.parametrize("n", [1, counting._BLOCK - 1, 3 * counting._BLOCK + 123])
+def test_records_match_across_block_unaligned_chunks(n):
+    cfg = SourceConfig(gain_down=0.8, overlap_mu=0.9, mean_pairs_per_pulse=0.3)
+    det = DetectorConfig(0.5, 0.7, 0.2, 0.3)
+    run = RunConfig(n, seed=4)
+    expected = simulate_run(cfg, 0.2, 0.9, det, run)
+    for chunk in (1, 777, 4096, 10_000):
+        for workers in (1, 3):
+            rec = simulate_run(cfg, 0.2, 0.9, det, RunConfig(n, seed=4, workers=workers),
+                               chunk_size=chunk)
+            assert rec == expected, (chunk, workers)
+
+
+def test_no_events_without_pairs_or_background():
+    cfg = SourceConfig(mean_pairs_per_pulse=0.0)
+    det = DetectorConfig()
+    n = 3 * counting._BLOCK + 123
+    tables = counting._build_tables(emitted_state(cfg), 0.3, 0.9, det, RunConfig(n), 0.0)
+    assert counting._event_pulses(tables, 0, n).size == 0
+    for chunk in (None, 1, 777):
+        rec = simulate_run(cfg, 0.3, 0.9, det, RunConfig(n, seed=3, workers=2), chunk_size=chunk)
+        assert rec == CountRecord(n, 0, 0, 0, 0)
+
+
+def test_thread_pool_capped_at_workers_chunks_and_cpus(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the requested pool size and runs the tasks in order."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    cfg = SourceConfig()
+    det = DetectorConfig(0.6, 0.6, 1e-2, 1e-2)
+    block = counting._BLOCK
+
+    def run(workers, n_blocks, cpus):
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
+        run_cfg = RunConfig(n_blocks * block, seed=8, workers=workers)
+        return simulate_run(cfg, 0.2, 0.9, det, run_cfg, chunk_size=block)
+
+    monkeypatch.setattr(counting, "ThreadPoolExecutor", SerialPool)
+    serial = run(1, 10, 2)
+    assert run(8, 10, 2) == serial  # capped by the CPUs
+    assert run(3, 2, 8) == run(1, 2, 8)  # capped by the chunks
+    assert run(4, 10, None) == serial  # CPU count unknown: serial
+    assert run(8, 1, 8) == run(1, 1, 8)  # one chunk: serial
+    assert sizes == [2, 2]

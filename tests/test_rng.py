@@ -22,6 +22,16 @@ def test_draw_at_matches_scalar_draw():
     np.testing.assert_array_equal(rng.draw_at(keys, idx), rng.draw(keys, 7))
 
 
+def test_draw_at_broadcasts_a_row_of_words_over_a_column_of_keys():
+    keys = rng.pulse_keys(rng.block_stream_key(5), np.arange(8, dtype=np.uint64))
+    words = np.arange(3, 9, dtype=np.uint64)
+    grid = rng.draw_at(keys[:, None], words)
+    assert grid.shape == (8, 6)
+    for j, w in enumerate(range(3, 9)):
+        np.testing.assert_array_equal(grid[:, j], rng.draw(keys, w))
+    assert rng.block_stream_key(5) != rng.stream_key(5)
+
+
 def test_distinct_draw_indices_decorrelate():
     key = rng.stream_key(11)
     keys = rng.pulse_keys(key, np.arange(200_000, dtype=np.uint64))

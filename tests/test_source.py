@@ -54,6 +54,16 @@ def test_source_config_validation():
         SourceConfig(pump_angle=0.0, gain_up=0.0, gain_down=1.0)
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["pump_angle", "gain_up", "gain_down", "relative_phase", "overlap_mu", "mean_pairs_per_pulse"],
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_source_config_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SourceConfig(**{field: value})
+
+
 def test_amplitude_ratio():
     assert abs(amplitude_ratio(balanced(1.0)) - 1.0) < 1e-15
     cfg = SourceConfig(relative_phase=np.pi)

@@ -2,24 +2,29 @@
 
 One pump pulse is one coincidence window (the 2 ns window is shorter than the
 12.5 ns period of an 80 MHz pulse train, so windows never straddle pulses).
-Per pulse the Monte Carlo draws a Poisson number of pairs; each photon is
+Per pulse the source emits a Poisson number of pairs.  The photon-level
+physics lives once, in :func:`pair_click_probs`: each photon of a pair is
 routed independently through a 50/50 beamsplitter to one of the two analyzer
-ports, joint analyzer outcomes are sampled from the exact four-outcome
-distribution of the emitted state, and threshold (non-number-resolving)
-detectors fire per transmitted photon with their efficiency, plus an
-independent background probability per window.  D1 and D2 in the same window
-count as a coincidence; D1 at window i with D2 at window i+1 feeds the
-delayed-window accidental estimate.
+ports, joint analyzer outcomes follow the exact four-outcome distribution of
+the emitted state, and threshold (non-number-resolving) detectors fire per
+transmitted photon with their efficiency, saturating when both photons reach
+the same port.  It gives the probabilities s1, s2 and s12 that one pair
+clicks D1, D2 or both.  Each detector also clicks with an independent
+background probability per window.  D1 and D2 in the same window count as a
+coincidence; D1 at window i with D2 at window i+1 feeds the delayed-window
+accidental estimate.
 
-The Monte Carlo visits only event pulses: those with at least one pair or a
-background click, P(event) = 1 - (1 - b1)(1 - b2) exp(-lambda).  Their
-positions come from geometric gaps between events, drawn from a block-level
-counter stream keyed by (seed, block of 4096 pulses, word index).  Each event
-pulse takes its pair number and background clicks in one draw from their
-joint distribution given an event, and routes its pairs, from the pulse-level
-stream keyed by (seed, pulse index, draw index).  A run is therefore
+The pairs of a pulse are independent, so given k pairs
+P(no D1) = (1 - b1)(1 - s1)^k and
+P(neither) = (1 - b1)(1 - b2)(1 - s1 - s2 + s12)^k.  The Monte Carlo visits
+only event pulses: those with at least one pair or a background click,
+P(event) = 1 - (1 - b1)(1 - b2) exp(-lambda).  Their positions come from
+geometric gaps between events, drawn from a block-level counter stream keyed
+by (seed, block of 4096 pulses, word index).  Each event pulse takes its pair
+number and whether D1 and D2 click in one draw from their joint distribution
+given an event, keyed by (seed, pulse index, draw index).  A run is therefore
 bit-reproducible regardless of chunking or worker count, and its cost grows
-with the number of event pulses, not of pulses.
+with the number of event pulses, not of pulses or pairs.
 """
 
 from __future__ import annotations
@@ -135,6 +140,22 @@ def pair_click_rate(rho: DensityMatrix, theta: float, efficiency: float) -> floa
     return efficiency * 0.5 * (p_a + p_b) - efficiency**2 * 0.25 * both
 
 
+def pair_click_probs(
+    rho: DensityMatrix, theta1: float, theta2: float, det: DetectorConfig
+) -> tuple[float, float, float]:
+    """Probabilities (s1, s2, s12) that one emitted pair clicks D1, D2 or both.
+
+    s1 and s2 are :func:`pair_click_rate` at each port.  Both detectors click
+    only when the photons take different ports and both are transmitted and
+    detected: s12 = eta1 eta2 (P(theta1, theta2) + P(theta2, theta1)) / 4.
+    """
+    s1 = pair_click_rate(rho, theta1, det.efficiency1)
+    s2 = pair_click_rate(rho, theta2, det.efficiency2)
+    p12 = coincidence_probability(rho, theta1, theta2)
+    p21 = coincidence_probability(rho, theta2, theta1)
+    return s1, s2, det.efficiency1 * det.efficiency2 * 0.25 * (p12 + p21)
+
+
 def expected_rates(
     rho: DensityMatrix,
     theta1: float,
@@ -159,13 +180,12 @@ def expected_rates(
             ModelRegimeWarning,
             stacklevel=2,
         )
-    pair1 = lam * pair_click_rate(rho, theta1, det.efficiency1)
-    pair2 = lam * pair_click_rate(rho, theta2, det.efficiency2)
+    s1, s2, s12 = pair_click_probs(rho, theta1, theta2, det)
+    pair1 = lam * s1
+    pair2 = lam * s2
     p1 = pair1 + det.background_prob1 - pair1 * det.background_prob1
     p2 = pair2 + det.background_prob2 - pair2 * det.background_prob2
-    p12 = coincidence_probability(rho, theta1, theta2)
-    p21 = coincidence_probability(rho, theta2, theta1)
-    p_true = lam * det.efficiency1 * det.efficiency2 * 0.25 * (p12 + p21)
+    p_true = lam * s12
     p_acc = p1 * p2
     clip = lambda x: min(max(x, 0.0), 1.0)  # noqa: E731
     return ExpectedRates(clip(p1), clip(p2), clip(p_true + p_acc), clip(p_acc))
@@ -184,17 +204,23 @@ _BLOCK_BITS = 12
 _BLOCK = 1 << _BLOCK_BITS
 # expected event pulses in one default chunk
 _CHUNK_EVENTS = 1 << 14
-# draw indices within one event pulse: 0 its joint (k, bg1, bg2) cell, then 5 per pair
+# Gap draws resolve U to steps of 2**-53, so they cannot place events rarer
+# than that; a pulse's event chance below it counts as none.
+_GAP_RESOLUTION = 2.0**-53
+# draw index of an event pulse's joint (k, d1, d2) cell: its only draw
 _DRAW_CELL = 0
-_PAIR_DRAW_BASE = 1
-_PAIR_DRAW_STRIDE = 5
 
 
-def _event_cells(lam: float, b1: float, b2: float) -> np.ndarray:
-    """uint64 CDF thresholds of a pulse's (pairs, bg1, bg2) given an event.
+def _event_cells(
+    lam: float, b1: float, b2: float, s1: float, s2: float, s12: float
+) -> np.ndarray:
+    """uint64 CDF thresholds of a pulse's (pairs, D1 click, D2 click) given an event.
 
-    Cell c holds k = c >> 2 pairs, a D1 background click if c & 1 and a D2
-    background click if c & 2.  The all-empty cell 0 is left out, so
+    Cell c holds k = c >> 2 pairs, a D1 click if c & 1 and a D2 click if
+    c & 2; (s1, s2, s12) are one pair's click probabilities from
+    :func:`pair_click_probs` and b1, b2 the background probabilities.  Row k
+    holds the four click patterns given k independent pairs, weighted by
+    Poisson(k).  The empty cell 0 (no pair, no click) is left out, so
     threshold i closes cell i + 1.  The Poisson table ends ten standard
     deviations plus 30 above lam, where its tail mass is below 1e-20; the
     table stops at the first cell where the float64 CDF reaches 1, since
@@ -206,9 +232,15 @@ def _event_cells(lam: float, b1: float, b2: float) -> np.ndarray:
         # in log space: exp(-lam) alone underflows for large lam
         pmf = np.exp(k * np.log(lam) - lam - log_factorial)
     else:
-        pmf = np.ones(1)
-    bg = np.array([(1 - b1) * (1 - b2), b1 * (1 - b2), (1 - b1) * b2, b1 * b2])
-    cdf = np.cumsum(np.outer(pmf, bg).ravel()[1:])
+        k, pmf = np.zeros(1), np.ones(1)
+    # P(no D1), P(no D2) and P(neither) given k pairs
+    none1 = (1 - b1) * (1 - s1) ** k
+    none2 = (1 - b2) * (1 - s2) ** k
+    neither = (1 - b1) * (1 - b2) * (1 - s1 - s2 + s12) ** k
+    pattern = np.stack([neither, none2 - neither, none1 - neither, 1 - none1 - none2 + neither], 1)
+    # the differences may round to tiny negatives
+    np.maximum(pattern, 0.0, out=pattern)
+    cdf = np.cumsum((pmf[:, None] * pattern).ravel()[1:])
     cdf = cdf[: int(np.argmax(cdf >= cdf[-1])) + 1] / cdf[-1]
     # cap strictly below 2**64 so the uint64 cast cannot wrap
     cap = np.nextafter(2.0**64, 0.0)
@@ -232,51 +264,24 @@ class _PulseTables:
     block_key: int  # block stream: event positions
     log_q: float  # ln P(no pair and no background click) for one pulse
     gap_words: int
-    cell_cdf: np.ndarray  # uint64 thresholds of the joint (k, bg1, bg2) cells
-    eta_thr: np.ndarray  # uint64 thresholds per port, shape (2,)
-    case_cum: np.ndarray  # uint64 outcome thresholds per routing case, (4, 3)
-
-
-def _outcome_cum(rho: DensityMatrix, alpha: float, beta: float) -> np.ndarray:
-    """Cumulative thresholds of the four joint analyzer outcomes at (alpha, beta)."""
-    perp_a = alpha + 0.5 * np.pi
-    perp_b = beta + 0.5 * np.pi
-    q = np.array(
-        [
-            coincidence_probability(rho, alpha, beta),
-            coincidence_probability(rho, alpha, perp_b),
-            coincidence_probability(rho, perp_a, beta),
-            coincidence_probability(rho, perp_a, perp_b),
-        ]
-    )
-    cum = np.cumsum(q / q.sum())[:3]
-    return np.array([rng.threshold(min(c, 1.0)) for c in cum], dtype=np.uint64)
+    cell_cdf: np.ndarray  # uint64 thresholds of the joint (k, d1, d2) cells
 
 
 def _build_tables(
     rho: DensityMatrix, theta1: float, theta2: float, det: DetectorConfig, run: RunConfig, lam: float
 ) -> _PulseTables:
-    port_angle = (theta1, theta2)
-    case_cum = np.stack(
-        [
-            _outcome_cum(rho, port_angle[pa], port_angle[pb])
-            for pa in (0, 1)
-            for pb in (0, 1)
-        ]
-    )
     b1, b2 = det.background_prob1, det.background_prob2
     log_q = float(np.log1p(-b1) + np.log1p(-b2) - lam)
+    if log_q > -_GAP_RESOLUTION:
+        log_q, cell_cdf = 0.0, np.empty(0, np.uint64)  # no event pulses
+    else:
+        cell_cdf = _event_cells(lam, b1, b2, *pair_click_probs(rho, theta1, theta2, det))
     return _PulseTables(
         key=rng.stream_key(run.seed),
         block_key=rng.block_stream_key(run.seed),
         log_q=log_q,
         gap_words=_gap_words(-np.expm1(log_q)),
-        cell_cdf=_event_cells(lam, b1, b2) if log_q < 0.0 else np.empty(0, np.uint64),
-        eta_thr=np.array(
-            [rng.threshold(det.efficiency1), rng.threshold(det.efficiency2)],
-            dtype=np.uint64,
-        ),
-        case_cum=case_cum,
+        cell_cdf=cell_cdf,
     )
 
 
@@ -324,36 +329,8 @@ def _run_chunk(tables: _PulseTables, lo: int, hi: int) -> tuple[int, int, int, i
     cell = np.searchsorted(tables.cell_cdf, rng.draw(keys, _DRAW_CELL), side="right")
     np.minimum(cell, tables.cell_cdf.size - 1, out=cell)
     cell += 1
-    k = cell >> 2
     d1 = (cell & 1).astype(bool)
     d2 = (cell & 2).astype(bool)
-
-    hot = np.nonzero(k)[0]
-    if hot.size:
-        kk = k[hot]
-        pair_event = np.repeat(hot, kk)
-        pair_keys = keys[pair_event]
-        starts = np.cumsum(kk) - kk
-        ordinal = np.arange(pair_event.size, dtype=np.uint64) - np.repeat(starts, kk).astype(
-            np.uint64
-        )
-        base = ordinal * np.uint64(_PAIR_DRAW_STRIDE) + np.uint64(_PAIR_DRAW_BASE)
-
-        port_a = rng.draw_at(pair_keys, base) >> np.uint64(63)  # 0 -> port 1
-        port_b = rng.draw_at(pair_keys, base + np.uint64(1)) >> np.uint64(63)
-        case = (port_a * np.uint64(2) + port_b).astype(np.intp)
-        u_out = rng.draw_at(pair_keys, base + np.uint64(2))
-        outcome = (u_out[:, None] >= tables.case_cum[case]).sum(axis=1)
-        pass_a = outcome < 2
-        pass_b = (outcome & 1) == 0
-        hit_a = pass_a & (rng.draw_at(pair_keys, base + np.uint64(3)) < tables.eta_thr[port_a])
-        hit_b = pass_b & (rng.draw_at(pair_keys, base + np.uint64(4)) < tables.eta_thr[port_b])
-
-        d1[pair_event[hit_a & (port_a == 0)]] = True
-        d1[pair_event[hit_b & (port_b == 0)]] = True
-        d2[pair_event[hit_a & (port_a == 1)]] = True
-        d2[pair_event[hit_b & (port_b == 1)]] = True
-
     singles1 = int(np.count_nonzero(d1))
     singles2 = int(np.count_nonzero(d2))
     coincidences = int(np.count_nonzero(d1 & d2))
@@ -382,13 +359,15 @@ def simulate_run(
 
     Only pulses with a pair or a background click are visited.  Their
     positions are keyed by (seed, block of 4096 pulses, word); each such
-    pulse's pair number, background clicks and pair routing are keyed by
-    (seed, pulse, draw).  The result therefore depends only on (seed,
-    configs): chunk size and worker count are pure throughput knobs.  The
-    counts for a given seed differ from those of the earlier sampler, which
-    drew every pulse.  Chunks are whole blocks (``chunk_size`` is rounded up
-    to one); by default a chunk holds about 16 k expected event pulses.  Up
-    to min(workers, chunks, CPUs) threads share the numpy-heavy chunk kernel.
+    pulse draws its (pair number, D1 click, D2 click) in one draw keyed by
+    (seed, pulse, draw), from a table built on :func:`pair_click_probs`, so
+    no photon is routed one by one.  The result therefore depends only on
+    (seed, configs): chunk size and worker count are pure throughput knobs.
+    The counts for a given seed differ from those of earlier samplers, which
+    routed every pair photon by photon; their statistics do not.  Chunks are
+    whole blocks (``chunk_size`` is rounded up to one); by default a chunk
+    holds about 16 k expected event pulses.  Up to min(workers, chunks, CPUs)
+    threads share the numpy-heavy chunk kernel.
     """
     rho = emitted_state(cfg)
     lam = cfg.mean_pairs_per_pulse

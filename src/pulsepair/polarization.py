@@ -72,6 +72,8 @@ class DensityMatrix:
         m = np.asarray(entries, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has non-finite entries")
         if np.abs(m - m.conj().T).max() > CONSTRUCTION_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         trace = np.trace(m).real

@@ -24,6 +24,11 @@ from .polarization import (
     phase_shifter,
 )
 
+# Upper bound on the mean pairs per pulse.  The Monte Carlo tabulates the
+# Poisson pair number to about lambda + 10 sqrt(lambda) + 30 rows, so this
+# caps that table at a few thousand cells.
+MAX_MEAN_PAIRS_PER_PULSE = 1000.0
+
 
 @dataclass(frozen=True)
 class SourceConfig:
@@ -33,7 +38,8 @@ class SourceConfig:
     gain_up, gain_down   amplitude factors of the HH and VV processes (>= 0)
     relative_phase       phase of the VV amplitude relative to HH (radians)
     overlap_mu           spatial indistinguishability of the two paths [0, 1]
-    mean_pairs_per_pulse Poisson mean of pairs emitted per pump pulse (>= 0)
+    mean_pairs_per_pulse Poisson mean of pairs emitted per pump pulse
+                         [0, MAX_MEAN_PAIRS_PER_PULSE]
     """
 
     pump_angle: float = np.pi / 4
@@ -52,12 +58,17 @@ class SourceConfig:
             raise ValueError("crystal gains must be nonnegative")
         if not 0.0 <= self.overlap_mu <= 1.0:
             raise ValueError(f"overlap_mu must lie in [0, 1], got {self.overlap_mu}")
-        if self.mean_pairs_per_pulse < 0:
-            raise ValueError("mean_pairs_per_pulse must be nonnegative")
-        power = (self.gain_up * np.cos(self.pump_angle)) ** 2 + (
-            self.gain_down * np.sin(self.pump_angle)
-        ) ** 2
-        if power <= 0.0:
+        if not 0.0 <= self.mean_pairs_per_pulse <= MAX_MEAN_PAIRS_PER_PULSE:
+            raise ValueError(
+                f"mean_pairs_per_pulse must lie in [0, {MAX_MEAN_PAIRS_PER_PULSE:g}], "
+                f"got {self.mean_pairs_per_pulse}"
+            )
+        # hypot, not a sum of squares: huge or tiny gains must not overflow to inf
+        # or underflow to 0
+        amplitude = np.hypot(
+            self.gain_up * np.cos(self.pump_angle), self.gain_down * np.sin(self.pump_angle)
+        )
+        if amplitude <= 0.0:
             raise ValueError("degenerate source: both emission amplitudes vanish")
 
 
@@ -74,9 +85,13 @@ def emitted_state(cfg: SourceConfig) -> DensityMatrix:
     ``overlap_mu``; the HV/VH sector is empty for this source geometry.
     """
     a_h, a_v = _amplitudes(cfg)
-    norm = abs(a_h) ** 2 + abs(a_v) ** 2
-    if norm <= 0.0:
+    # only the amplitudes' ratio matters; scaling the larger one to 1 keeps
+    # the squares below from overflowing or underflowing
+    scale = max(abs(a_h), abs(a_v))
+    if scale <= 0.0:
         raise ValueError("degenerate source: both emission amplitudes vanish")
+    a_h, a_v = a_h / scale, a_v / scale
+    norm = abs(a_h) ** 2 + abs(a_v) ** 2
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = abs(a_h) ** 2 / norm
     rho[3, 3] = abs(a_v) ** 2 / norm

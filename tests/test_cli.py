@@ -1,9 +1,14 @@
 """Command-line surface: config files, env overrides, CSV/SVG, exit codes."""
 
 import io
+import os
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pulsepair import fit_fringe
 from pulsepair.cli import (
@@ -261,6 +266,53 @@ def test_non_finite_env_value_exits_one_with_one_line(monkeypatch, env, argv):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and "must be finite" in err, err
+
+
+def test_mean_pairs_above_bound_exits_one_with_one_line(monkeypatch):
+    monkeypatch.setenv("PULSEPAIR_MEAN_PAIRS_PER_PULSE", "1e12")
+    code, out, err = _run(["scan", "--mode", "monte-carlo"])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "mean_pairs_per_pulse" in err, err
+
+
+_BOUNDARY_KEYS = (
+    "MEAN_PAIRS_PER_PULSE",
+    "GAIN_UP",
+    "OVERLAP_MU",
+    "EFFICIENCY1",
+    "BACKGROUND_PROB1",
+)
+
+
+# unset, in [0, 1] (valid for every key, so whole runs happen) or any float
+_BOUNDARY_VALUE = st.none() | st.floats(0.0, 1.0) | st.floats()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.fixed_dictionaries(dict.fromkeys(_BOUNDARY_KEYS, _BOUNDARY_VALUE)))
+@example(dict.fromkeys(_BOUNDARY_KEYS, float("nan")))
+@example({"MEAN_PAIRS_PER_PULSE": 1e12, "GAIN_UP": 1e300, "OVERLAP_MU": -1.0,
+          "EFFICIENCY1": float("inf"), "BACKGROUND_PROB1": 1.0})
+@example({"MEAN_PAIRS_PER_PULSE": 1000.0, "GAIN_UP": 1.7e308, "OVERLAP_MU": 0.0,
+          "EFFICIENCY1": 5e-324, "BACKGROUND_PROB1": 5e-324})
+@example({"MEAN_PAIRS_PER_PULSE": 5e-324, "GAIN_UP": 5e-324, "OVERLAP_MU": None,
+          "EFFICIENCY1": None, "BACKGROUND_PROB1": None})
+def test_boundary_env_values_exit_cleanly(values):
+    """Any float in these variables either runs or exits 1 with one stderr line.
+
+    Python prints every warning to stderr too, so none may be raised.
+    """
+    env = {"PULSEPAIR_N_PULSES": "2000"}
+    env.update({f"PULSEPAIR_{key}": repr(val) for key, val in values.items() if val is not None})
+    for argv in (["state"], ["scan", "--mode", "monte-carlo"]):
+        with mock.patch.dict(os.environ, env), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(argv)
+        assert code in (0, 1), (argv, code, err)
+        assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, err)
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert (code == 0) == (err == "") and (code == 0) == (out != ""), (argv, code, err)
 
 
 def test_missing_config_file_exits_two(tmp_path):

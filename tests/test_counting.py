@@ -6,6 +6,7 @@ import pytest
 from pulsepair import counting
 from pulsepair import (
     CountRecord,
+    DensityMatrix,
     DetectorConfig,
     ModelRegimeWarning,
     RunConfig,
@@ -13,11 +14,17 @@ from pulsepair import (
     bell_state,
     emitted_state,
     expected_rates,
+    pair_click_probs,
     pure_to_density,
     simulate_run,
     subtract_accidentals,
 )
-from oracles import enumerated_exact_rates, enumerated_expected_rates, random_density_matrix
+from oracles import (
+    enumerated_exact_rates,
+    enumerated_expected_rates,
+    enumerated_pair_rates,
+    random_density_matrix,
+)
 
 DEG = np.pi / 180
 
@@ -77,8 +84,6 @@ def test_expected_rates_match_enumeration_oracle():
     rng = np.random.default_rng(83)
     for _ in range(40):
         m = random_density_matrix(rng)
-        from pulsepair import DensityMatrix
-
         dm = DensityMatrix(m)
         det = DetectorConfig(
             efficiency1=rng.uniform(0.1, 1.0),
@@ -94,6 +99,18 @@ def test_expected_rates_match_enumeration_oracle():
         assert abs(r.p_single2 - o2) < 1e-14
         assert abs(r.p_coinc - oc) < 1e-14
         assert abs(r.p_accidental - oa) < 1e-14
+
+
+def test_pair_click_probs_match_enumeration_oracle():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        m = random_density_matrix(rng)
+        eta1, eta2 = rng.uniform(0.0, 1.0, 2)
+        t1, t2 = rng.uniform(0, 2 * np.pi, 2)
+        det = DetectorConfig(efficiency1=eta1, efficiency2=eta2)
+        got = pair_click_probs(DensityMatrix(m), t1, t2, det)
+        want = enumerated_pair_rates(m, t1, t2, eta1, eta2)
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-14, (got, want)
 
 
 def test_expected_rates_out_of_regime_warns_but_computes():
@@ -295,6 +312,35 @@ def test_records_match_across_block_unaligned_chunks(n):
             rec = simulate_run(cfg, 0.2, 0.9, det, RunConfig(n, seed=4, workers=workers),
                                chunk_size=chunk)
             assert rec == expected, (chunk, workers)
+
+
+def _decoded_rates(tables):
+    """Per-pulse P(D1), P(D2) and P(both) read back from the event-cell thresholds.
+
+    A draw u picks the cell after the last threshold <= u; the last threshold
+    is 2**64 - 1 and closes the last cell, so the cells' edges are the
+    thresholds with 0 before them and 2**64 in place of the last one.
+    """
+    if tables.cell_cdf.size == 0:
+        return 0.0, 0.0, 0.0
+    edges = np.concatenate(([0.0], tables.cell_cdf[:-1].astype(np.float64), [2.0**64]))
+    given_event = np.diff(edges) / 2.0**64
+    cell = np.arange(1, given_event.size + 1)
+    p_event = -np.expm1(tables.log_q)
+    return tuple(p_event * given_event[(cell & m) == m].sum() for m in (1, 2, 3))
+
+
+@pytest.mark.parametrize("b1, b2", [(0.0, 0.0), (2e-3, 5e-3)])
+@pytest.mark.parametrize("lam", [0.0, 0.01, 0.5, 2.0, 20.0])
+def test_event_cells_decode_to_exact_rates(lam, b1, b2):
+    cfg = SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=lam)
+    rho = emitted_state(cfg)
+    det = DetectorConfig(0.5, 0.7, b1, b2)
+    for t1, t2 in [(0.0, 0.0), (0.0, 45 * DEG), (22.5 * DEG, 45 * DEG), (135 * DEG, 60 * DEG)]:
+        tables = counting._build_tables(rho, t1, t2, det, RunConfig(10), lam)
+        p1, p2, pc, _ = enumerated_exact_rates(rho.matrix, t1, t2, lam, det)
+        got = _decoded_rates(tables)
+        assert max(abs(g - w) for g, w in zip(got, (p1, p2, pc))) < 1e-12, (t1, t2, got)
 
 
 def test_no_events_without_pairs_or_background():

@@ -76,6 +76,18 @@ def test_density_matrix_validation():
         DensityMatrix(neg)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_density_matrix_rejects_non_finite_entries(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(np.full((4, 4), value))
+    # one bad entry in an otherwise valid state, on and off the diagonal
+    for i, j in ((0, 0), (0, 3)):
+        m = pure_to_density(bell_state("phi_plus")).matrix.copy()
+        m[i, j] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(m)
+
+
 def test_density_matrix_immutable():
     rho = pure_to_density(bell_state("phi_plus"))
     with pytest.raises(ValueError):

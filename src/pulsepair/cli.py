@@ -40,6 +40,8 @@ from .source import SourceConfig, amplitude_ratio, emitted_state
 ENV_PREFIX = "PULSEPAIR_"
 CSV_HEADER = "theta1_deg,coincidences,singles1,singles2,accidentals"
 
+_WORKERS_HELP = "kept for compatibility; no effect on results or speed"
+
 CONVENTION_STANDARD = "standard"
 CONVENTION_PAPER = "paper"
 
@@ -510,7 +512,7 @@ def _build_parser() -> _Parser:
     p_scan.add_argument("--mode", choices=(MODE_ANALYTIC, MODE_MONTE_CARLO), default=None)
     p_scan.add_argument("--n-pulses", dest="n_pulses", type=int, default=None)
     p_scan.add_argument("--seed", type=int, default=None)
-    p_scan.add_argument("--workers", type=int, default=None)
+    p_scan.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p_scan.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_scan.add_argument("--svg", default=None, help="optional fringe chart path")
     p_scan.set_defaults(func=_cmd_scan)
@@ -534,7 +536,7 @@ def _build_parser() -> _Parser:
     )
     p_fig3.add_argument("--n-pulses", dest="n_pulses", type=int, default=None)
     p_fig3.add_argument("--seed", type=int, default=None)
-    p_fig3.add_argument("--workers", type=int, default=None)
+    p_fig3.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p_fig3.add_argument("--out", default=None)
     p_fig3.add_argument("--svg", default=None)
     p_fig3.set_defaults(func=_cmd_fig3)

@@ -90,13 +90,6 @@ def draw_at(keys: np.ndarray, draw_indices: np.ndarray) -> np.ndarray:
     return mix64(keys + off)
 
 
-def threshold(p: float) -> np.uint64:
-    """uint64 threshold t with P(draw < t) = p for p in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p}")
-    return np.uint64(min(int(p * 2.0**64), MASK64))
-
-
 def to_unit(u: np.ndarray) -> np.ndarray:
     """Map uint64 draws onto float64 uniforms in [0, 1)."""
     return (u >> np.uint64(11)) * (1.0 / (1 << 53))

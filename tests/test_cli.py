@@ -276,6 +276,14 @@ def test_mean_pairs_above_bound_exits_one_with_one_line(monkeypatch):
     assert len(err.splitlines()) == 1 and "mean_pairs_per_pulse" in err, err
 
 
+def test_n_pulses_above_bound_exits_one_with_one_line(monkeypatch):
+    monkeypatch.setenv("PULSEPAIR_N_PULSES", str(2**53 + 1))
+    code, out, err = _run(["scan", "--mode", "monte-carlo"])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "n_pulses" in err, err
+
+
 _BOUNDARY_KEYS = (
     "MEAN_PAIRS_PER_PULSE",
     "GAIN_UP",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pulsepair import counting
+from pulsepair import counting, rng
 from pulsepair import (
     CountRecord,
     DensityMatrix,
@@ -19,6 +19,7 @@ from pulsepair import (
     simulate_run,
     subtract_accidentals,
 )
+from pulsepair.cli import fig3_experiment
 from oracles import (
     enumerated_exact_rates,
     enumerated_expected_rates,
@@ -47,6 +48,9 @@ def test_detector_config_validation():
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(n_pulses=0)
+    assert RunConfig(n_pulses=counting.MAX_N_PULSES).n_pulses == 2**53
+    with pytest.raises(ValueError, match="n_pulses"):
+        RunConfig(n_pulses=2**53 + 1)
     with pytest.raises(ValueError):
         RunConfig(workers=0)
     with pytest.raises(ValueError):
@@ -354,37 +358,41 @@ def test_no_events_without_pairs_or_background():
         assert rec == CountRecord(n, 0, 0, 0, 0)
 
 
-def test_thread_pool_capped_at_workers_chunks_and_cpus(monkeypatch):
-    sizes = []
+@pytest.mark.parametrize(
+    "lam, b1, b2",
+    [(lam, b, b) for lam in (0.01, 2.0, 1000.0) for b in (0.0, 2e-3)] + [(0.0, 0.05, 0.1)],
+)
+def test_guide_lookup_equals_searchsorted(lam, b1, b2):
+    """The guide-table cell search returns the binary search's count for
+    random words and for every edge word: 0, each threshold and its
+    neighbours, and MASK64."""
+    rho = emitted_state(SourceConfig(gain_down=0.7, overlap_mu=0.8))
+    det = DetectorConfig(0.6, 0.6, b1, b2)
+    tables = counting._build_tables(rho, 0.3, 0.9, det, RunConfig(10), lam)
+    cdf = tables.cell_cdf
+    random_words = np.random.default_rng(10).integers(0, 1 << 64, 100_000, np.uint64,
+                                                      endpoint=False)
+    with np.errstate(over="ignore"):
+        edges = np.concatenate((cdf, cdf - np.uint64(1), cdf + np.uint64(1)))
+    u = np.concatenate((random_words, edges, np.array([0, rng.MASK64], np.uint64)))
+    assert cdf.size > 1 and cdf[-1] == rng.MASK64
+    got = counting._cell_search(tables, u)
+    np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
 
-    class SerialPool:
-        """Records the requested pool size and runs the tasks in order."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+# CountRecords of the binary-search kernel (commit 5ec5187), which the guide
+# lookup and the serial chunk loop must repeat exactly.
+_FIG3_RECORD = CountRecord(1_000_000, 5668, 5097, 915, 27)
+_DENSE_RECORD = CountRecord(200_000, 90932, 81547, 48857, 37001)
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    cfg = SourceConfig()
-    det = DetectorConfig(0.6, 0.6, 1e-2, 1e-2)
-    block = counting._BLOCK
-
-    def run(workers, n_blocks, cpus):
-        monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
-        run_cfg = RunConfig(n_blocks * block, seed=8, workers=workers)
-        return simulate_run(cfg, 0.2, 0.9, det, run_cfg, chunk_size=block)
-
-    monkeypatch.setattr(counting, "ThreadPoolExecutor", SerialPool)
-    serial = run(1, 10, 2)
-    assert run(8, 10, 2) == serial  # capped by the CPUs
-    assert run(3, 2, 8) == run(1, 2, 8)  # capped by the chunks
-    assert run(4, 10, None) == serial  # CPU count unknown: serial
-    assert run(8, 1, 8) == run(1, 1, 8)  # one chunk: serial
-    assert sizes == [2, 2]
+@pytest.mark.parametrize("workers, chunk", [(1, None), (2, None), (1, 77_777), (2, 77_777)])
+def test_counts_pinned_to_binary_search_kernel(workers, chunk):
+    fig3 = fig3_experiment(n_pulses=1_000_000, workers=workers)
+    rec = simulate_run(fig3.source, 30 * DEG, 45 * DEG, fig3.detector, fig3.run, chunk_size=chunk)
+    assert rec == _FIG3_RECORD
+    dense = SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=2.0)
+    det = DetectorConfig(0.6, 0.6, 1e-3, 1e-3)
+    run = RunConfig(200_000, seed=12345, workers=workers)
+    rec = simulate_run(dense, 30 * DEG, 45 * DEG, det, run, chunk_size=chunk)
+    assert rec == _DENSE_RECORD

@@ -49,18 +49,6 @@ def test_uniformity_moments():
     assert abs(u.var() - 1 / 12) < 5e-4
 
 
-def test_threshold_probability():
-    key = rng.stream_key(31337)
-    keys = rng.pulse_keys(key, np.arange(1_000_000, dtype=np.uint64))
-    hits = (rng.draw(keys, 2) < rng.threshold(0.125)).mean()
-    assert abs(hits - 0.125) < 5 * np.sqrt(0.125 * 0.875 / 1e6)
-
-
-def test_threshold_edges():
-    assert rng.threshold(0.0) == 0
-    assert rng.threshold(1.0) == np.uint64(rng.MASK64)
-
-
 def test_seeds_change_everything():
     pulses = np.arange(1000, dtype=np.uint64)
     a = rng.draw(rng.pulse_keys(rng.stream_key(1), pulses), 0)

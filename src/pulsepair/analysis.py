@@ -104,11 +104,11 @@ def polarization_scan(
     """Scan analyzer 1 over ``theta1_list`` with analyzer 2 fixed at ``theta2``.
 
     Analytic mode fills expected counts (per-pulse rates times the pulse
-    count); monte-carlo mode runs one seeded simulation per angle, with
-    per-angle child seeds derived from ``run.seed``.  ``theta1_sign=-1``
-    evaluates physics at the negated analyzer-1 angle while recording the
-    dial reading, which reproduces the cos^2(t1+t2) form of the fringe law
-    for a (HH+VV) source.
+    count) from one :func:`expected_rates` call over all angles; monte-carlo
+    mode runs one seeded simulation per angle, with per-angle child seeds
+    derived from ``run.seed``.  ``theta1_sign=-1`` evaluates physics at the
+    negated analyzer-1 angle while recording the dial reading, which
+    reproduces the cos^2(t1+t2) form of the fringe law for a (HH+VV) source.
     """
     theta1_list = list(theta1_list)
     if not theta1_list:
@@ -118,22 +118,14 @@ def polarization_scan(
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
-    points = []
     if mode == MODE_ANALYTIC:
-        rho = emitted_state(cfg)
-        n = float(run.n_pulses)
-        for t1 in theta1_list:
-            r = expected_rates(rho, theta1_sign * t1, theta2, cfg.mean_pairs_per_pulse, det)
-            points.append(
-                FringePoint(
-                    theta1=t1,
-                    coincidences=r.p_coinc * n,
-                    singles1=r.p_single1 * n,
-                    singles2=r.p_single2 * n,
-                    accidentals=r.p_accidental * n,
-                )
-            )
+        t1s = theta1_sign * np.asarray(theta1_list, dtype=float)
+        r = expected_rates(emitted_state(cfg), t1s, theta2, cfg.mean_pairs_per_pulse, det)
+        rates = np.array([r.p_coinc, r.p_single1, r.p_single2, r.p_accidental])
+        rows = (rates * float(run.n_pulses)).T.tolist()
+        points = [FringePoint(t1, *row) for t1, row in zip(theta1_list, rows)]
     else:
+        points = []
         for i, t1 in enumerate(theta1_list):
             child = RunConfig(run.n_pulses, derive_seed(run.seed, i), run.workers)
             rec: CountRecord = simulate_run(cfg, theta1_sign * t1, theta2, det, child)
@@ -157,9 +149,13 @@ def fit_fringe(
     """Least-squares fringe fit of counts against {1, cos 2t1, sin 2t1}.
 
     With ``use_accidental_subtraction`` each point is corrected to
-    max(0, coincidences - accidentals) before fitting.  ``weighted`` switches
-    to inverse-variance weights from Poisson errors (unweighted by default:
-    fringe counts are near-homoscedastic in the intended regime).
+    max(0, coincidences - accidentals) before fitting.  The unweighted
+    default is unbiased but not minimum-variance: fringe counts are far from
+    homoscedastic (they span about 40x at V = 0.95), and its spread in V is
+    about 1.7x that of a Poisson maximum-likelihood fit.  ``weighted``
+    switches to inverse-variance weights from the observed counts, which
+    narrows the spread but biases V high, by about +0.0019 at 1 M pulses
+    per point.
     """
     t = scan.theta1s
     y = scan.coincidences

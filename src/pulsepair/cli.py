@@ -17,6 +17,7 @@ radians.  Exit codes: 0 success, 1 configuration error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -495,7 +496,9 @@ def _cmd_fig3(args, out) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI's argparse tree, built on first use and shared by later calls."""
     parser = _Parser(prog="pulsepair", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

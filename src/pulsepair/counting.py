@@ -114,37 +114,45 @@ class CountRecord:
 
 @dataclass(frozen=True)
 class ExpectedRates:
-    """Per-pulse click probabilities from the analytic model."""
+    """Per-pulse click probabilities from the analytic model.
 
-    p_single1: float
-    p_single2: float
-    p_coinc: float
-    p_accidental: float
+    Each field is a scalar, or an array over the analyzer angles it was
+    computed for.
+    """
+
+    p_single1: float | np.ndarray
+    p_single2: float | np.ndarray
+    p_coinc: float | np.ndarray
+    p_accidental: float | np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("p_single1", "p_single2", "p_coinc", "p_accidental"):
             val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
+            if not np.all((val >= 0.0) & (val <= 1.0)):
                 raise ValueError(f"{name} out of [0, 1]: {val}")
 
 
-def _marginal_pass(rho: DensityMatrix, theta: float) -> tuple[float, float]:
-    """Pass probabilities of photons A and B alone at an analyzer angle."""
-    axis = np.array([np.cos(theta), np.sin(theta)])
-    proj = np.outer(axis, axis)
-    m = rho.matrix
-    p_a = float(np.trace(m @ np.kron(proj, np.eye(2))).real)
-    p_b = float(np.trace(m @ np.kron(np.eye(2), proj)).real)
-    return p_a, p_b
+def _marginal_pass(rho: DensityMatrix, theta: float | np.ndarray) -> tuple:
+    """Pass probabilities of photons A and B alone at analyzer angles ``theta``.
+
+    Each is the analyzer axis's quadratic form with a partial trace of rho.
+    """
+    axis = np.stack([np.cos(theta), np.sin(theta)], -1)
+    r = rho.matrix.reshape(2, 2, 2, 2)
+    reduced = (np.trace(r, axis1=1, axis2=3), np.trace(r, axis1=0, axis2=2))
+    return tuple(((axis @ red) * axis).sum(-1).real for red in reduced)
 
 
-def pair_click_rate(rho: DensityMatrix, theta: float, efficiency: float) -> float:
+def pair_click_rate(
+    rho: DensityMatrix, theta: float | np.ndarray, efficiency: float
+) -> float | np.ndarray:
     """Probability that one emitted pair clicks the detector at ``theta``.
 
     Averages the four equally likely beamsplitter routings.  Photons landing
     alone contribute eta * marginal pass probability; when both photons reach
     the same port the threshold detector saturates, which subtracts the
-    eta^2/4 * P(theta, theta) double-transmission overlap.
+    eta^2/4 * P(theta, theta) double-transmission overlap.  An array of
+    angles gives an array of rates.
     """
     p_a, p_b = _marginal_pass(rho, theta)
     both = coincidence_probability(rho, theta, theta)
@@ -152,13 +160,17 @@ def pair_click_rate(rho: DensityMatrix, theta: float, efficiency: float) -> floa
 
 
 def pair_click_probs(
-    rho: DensityMatrix, theta1: float, theta2: float, det: DetectorConfig
-) -> tuple[float, float, float]:
+    rho: DensityMatrix,
+    theta1: float | np.ndarray,
+    theta2: float | np.ndarray,
+    det: DetectorConfig,
+) -> tuple:
     """Probabilities (s1, s2, s12) that one emitted pair clicks D1, D2 or both.
 
     s1 and s2 are :func:`pair_click_rate` at each port.  Both detectors click
     only when the photons take different ports and both are transmitted and
     detected: s12 = eta1 eta2 (P(theta1, theta2) + P(theta2, theta1)) / 4.
+    Arrays of angles pass through; s12 takes their broadcast shape.
     """
     s1 = pair_click_rate(rho, theta1, det.efficiency1)
     s2 = pair_click_rate(rho, theta2, det.efficiency2)
@@ -169,8 +181,8 @@ def pair_click_probs(
 
 def expected_rates(
     rho: DensityMatrix,
-    theta1: float,
-    theta2: float,
+    theta1: float | np.ndarray,
+    theta2: float | np.ndarray,
     mean_pairs_per_pulse: float,
     det: DetectorConfig,
 ) -> ExpectedRates:
@@ -179,7 +191,8 @@ def expected_rates(
     Exact for at most one pair per pulse and exact in efficiency and
     background; multi-pair corrections are O(lambda^2).  The intended regime
     is lambda <= 0.05; above 0.1 a ModelRegimeWarning is emitted (the values
-    are still computed).
+    are still computed).  The angles broadcast against each other, and all
+    four rates take their broadcast shape; scalar angles give scalar rates.
     """
     lam = mean_pairs_per_pulse
     if lam < 0:
@@ -198,8 +211,8 @@ def expected_rates(
     p2 = pair2 + det.background_prob2 - pair2 * det.background_prob2
     p_true = lam * s12
     p_acc = p1 * p2
-    clip = lambda x: min(max(x, 0.0), 1.0)  # noqa: E731
-    return ExpectedRates(clip(p1), clip(p2), clip(p_true + p_acc), clip(p_acc))
+    rates = np.clip(np.broadcast_arrays(p1, p2, p_true + p_acc, p_acc), 0.0, 1.0)
+    return ExpectedRates(*rates)
 
 
 def subtract_accidentals(rec: CountRecord) -> float:

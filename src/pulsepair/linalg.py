@@ -1,99 +1,37 @@
-"""Iterative eigendecomposition for small Hermitian matrices.
+"""Spectral step of the Wootters concurrence, on LAPACK.
 
-Cyclic Jacobi with exact 2x2 Hermitian sub-rotations.  Plenty for the 4x4
-polarization density matrices used throughout; carries no dependence on any
-external solver's ordering or phase conventions.
+With a factorization rho = Psi Psi+ the Wootters roots are the singular
+values of the complex symmetric matrix Psi^T (sy (x) sy) Psi.  Unlike
+square-root-of-rho formulations, this stays accurate for pure and
+rank-deficient states.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-13
+# sigma_y tensor sigma_y, the spin-flip kernel of the Wootters concurrence
+_SPIN_FLIP = np.array(
+    [
+        [0.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+    ],
+    dtype=complex,
+)
+# eigenvalues of rho at or below this are dropped from the factor Psi
+_RANK_TOL = 1e-14
 
 
-def _rotation(app: float, aqq: float, apq: complex) -> np.ndarray:
-    """Unitary 2x2 annihilating the off-diagonal of [[app, apq], [conj(apq), aqq]].
+def wootters_roots(matrix: np.ndarray) -> np.ndarray:
+    """Decreasing square roots of the eigenvalues of rho (sy (x) sy) rho* (sy (x) sy).
 
-    Smaller-angle Jacobi rotation with the phase of the coupling factored
-    out; every quantity is well conditioned even for tiny |apq|.
+    ``matrix`` is a 4x4 density matrix; four values are always returned,
+    zero-padded past the rank of rho.
     """
-    mag = abs(apq)
-    phase = apq / mag
-    tau = (aqq - app) / (2.0 * mag)
-    # smaller root of t^2 - 2*tau*t - 1 = 0
-    t = -np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    return np.array([[c * phase, -s * phase], [s, c]], dtype=complex)
-
-
-def hermitian_eigensystem(
-    matrix: np.ndarray, tol: float = DEFAULT_TOL, max_sweeps: int = 64
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix.
-
-    Off-diagonal mass is annihilated pairwise until its largest element falls
-    below ``tol`` relative to the matrix scale.
-    """
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    v = np.eye(n, dtype=complex)
-    scale = max(float(np.abs(a).max()), 1e-300)
-
-    for _ in range(max_sweeps):
-        off = np.abs(a - np.diag(np.diag(a)))
-        if off.max() <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.1 * tol * scale:
-                    continue
-                u = _rotation(a[p, p].real, a[q, q].real, apq)
-                a[:, [p, q]] = a[:, [p, q]] @ u
-                a[[p, q], :] = u.conj().T @ a[[p, q], :]
-                v[:, [p, q]] = v[:, [p, q]] @ u
-        # keep numerically Hermitian between sweeps
-        a = 0.5 * (a + a.conj().T)
-    else:
-        raise RuntimeError("Jacobi eigensolver did not converge")
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def singular_values(
-    matrix: np.ndarray, tol: float = DEFAULT_TOL, max_sweeps: int = 64
-) -> np.ndarray:
-    """Singular values (descending) by one-sided Jacobi column orthogonalization.
-
-    Rotations act on column pairs until all columns are mutually orthogonal
-    relative to ``tol``; the singular values are then the column norms.  The
-    one-sided scheme never forms the Gram matrix, so small singular values
-    come out to high relative accuracy.
-    """
-    a = np.array(matrix, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"matrix must be two-dimensional, got shape {a.shape}")
-    n = a.shape[1]
-    for _ in range(max_sweeps):
-        converged = True
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                gpp = float(np.vdot(a[:, p], a[:, p]).real)
-                gqq = float(np.vdot(a[:, q], a[:, q]).real)
-                gpq = complex(np.vdot(a[:, p], a[:, q]))
-                if abs(gpq) <= tol * np.sqrt(gpp * gqq):
-                    continue
-                converged = False
-                u = _rotation(gpp, gqq, gpq)
-                a[:, [p, q]] = a[:, [p, q]] @ u
-        if converged:
-            break
-    else:
-        raise RuntimeError("Jacobi SVD did not converge")
-    return np.sort(np.linalg.norm(a, axis=0))[::-1]
+    w, v = np.linalg.eigh(matrix)
+    keep = w > _RANK_TOL
+    factor = v[:, keep] * np.sqrt(w[keep])
+    sv = np.linalg.svd(factor.T @ _SPIN_FLIP @ factor, compute_uv=False)
+    return np.concatenate([sv, np.zeros(4 - len(sv))])

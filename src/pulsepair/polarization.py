@@ -5,32 +5,24 @@ The pair lives in the four-dimensional space spanned by the ordered basis
 horizontal, looking along the propagation direction; with that convention a
 polarizer at angle theta projects onto cos(theta)|H> + sin(theta)|V>.
 
-All probabilities are operator traces; every state object validates its own
-invariants at construction time and is immutable afterwards.
+All probabilities are operator traces, and :func:`coincidence_probability`
+broadcasts over arrays of analyzer angles.  Spectra come from LAPACK: the
+eigenvalue checks call ``np.linalg.eigvalsh`` and the concurrence takes its
+Wootters roots from :mod:`pulsepair.linalg`.  Every state object validates
+its own invariants at construction time and is immutable afterwards.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import hermitian_eigensystem, singular_values
+from .linalg import wootters_roots
 
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
 CONSTRUCTION_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 BLOCKED_TOL = 1e-15
-
-# sigma_y tensor sigma_y, the spin-flip kernel of the Wootters concurrence
-_SPIN_FLIP = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ],
-    dtype=complex,
-)
 
 
 class PureState:
@@ -81,7 +73,7 @@ class DensityMatrix:
             raise ValueError(f"density matrix trace {trace} is not 1 within 1e-12")
         m = 0.5 * (m + m.conj().T)
         m = m / np.trace(m).real
-        w, _ = hermitian_eigensystem(m)
+        w = np.linalg.eigvalsh(m)
         if w.min() < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
         m.setflags(write=False)
@@ -89,8 +81,7 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues with the [-1e-10, 0) band clamped to 0."""
-        w, _ = hermitian_eigensystem(self.matrix)
-        return np.clip(w, 0.0, None)
+        return np.clip(np.linalg.eigvalsh(self.matrix), 0.0, None)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(trace={np.trace(self.matrix).real:.6f})"
@@ -198,20 +189,20 @@ def apply_local(
     return DensityMatrix(out / p), min(max(p, 0.0), 1.0)
 
 
-def _pair_axis(theta1: float, theta2: float) -> np.ndarray:
-    a1 = np.array([np.cos(theta1), np.sin(theta1)])
-    a2 = np.array([np.cos(theta2), np.sin(theta2)])
-    return np.kron(a1, a2)
-
-
-def coincidence_probability(rho: DensityMatrix, theta1: float, theta2: float) -> float:
+def coincidence_probability(
+    rho: DensityMatrix, theta1: float | np.ndarray, theta2: float | np.ndarray
+) -> float | np.ndarray:
     """Probability that both photons pass analyzers at (theta1, theta2).
 
-    Tr[rho (P(theta1) (x) P(theta2))], clipped into [0, 1] against round-off.
+    Tr[rho (P(theta1) (x) P(theta2))] = w rho w with w = a1 (x) a2, clipped
+    into [0, 1] against round-off.  The angles broadcast against each other;
+    scalar angles give a scalar.
     """
-    w = _pair_axis(theta1, theta2)
-    p = float((w @ rho.matrix @ w).real)
-    return min(max(p, 0.0), 1.0)
+    a1 = np.stack([np.cos(theta1), np.sin(theta1)], -1)
+    a2 = np.stack([np.cos(theta2), np.sin(theta2)], -1)
+    w = a1[..., :, None] * a2[..., None, :]
+    w = w.reshape(w.shape[:-2] + (4,))
+    return np.clip(((w @ rho.matrix) * w).sum(-1).real, 0.0, 1.0)
 
 
 def correlation(rho: DensityMatrix, theta1: float, theta2: float) -> float:
@@ -220,38 +211,19 @@ def correlation(rho: DensityMatrix, theta1: float, theta2: float) -> float:
     Built from the four joint pass/block probabilities of the two analyzers,
     normalized by their sum (which is 1 for a unit-trace state).
     """
-    t1p = theta1 + 0.5 * np.pi
-    t2p = theta2 + 0.5 * np.pi
-    pp = coincidence_probability(rho, theta1, theta2)
-    bb = coincidence_probability(rho, t1p, t2p)
-    pb = coincidence_probability(rho, theta1, t2p)
-    bp = coincidence_probability(rho, t1p, theta2)
+    # an analyzer blocks at theta what it passes at theta + pi/2
+    h = 0.5 * np.pi
+    pp, bb, pb, bp = coincidence_probability(
+        rho, theta1 + np.array([0.0, h, 0.0, h]), theta2 + np.array([0.0, h, h, 0.0])
+    )
     return (pp + bb - pb - bp) / (pp + bb + pb + bp)
 
 
-_RANK_TOL = 1e-14
-
-
 def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence in [0, 1].
-
-    max(0, l1 - l2 - l3 - l4) over the decreasing square roots of the
-    eigenvalues of rho * (sy (x) sy) rho* (sy (x) sy).  With a factorization
-    rho = Psi Psi+ those roots are the singular values of the complex
-    symmetric matrix Psi^T (sy (x) sy) Psi, which stays accurate for pure
-    and rank-deficient states where square-root-of-rho formulations lose
-    half the working precision.
-    """
-    w, v = hermitian_eigensystem(rho.matrix)
-    keep = w > _RANK_TOL
-    if not np.any(keep):
-        return 0.0
-    factor = v[:, keep] * np.sqrt(w[keep])
-    lam = np.zeros(4)
-    sv = singular_values(factor.T @ _SPIN_FLIP @ factor)
-    lam[: len(sv)] = sv
-    c = lam[0] - lam[1] - lam[2] - lam[3]
-    return min(max(float(c), 0.0), 1.0)
+    """Wootters concurrence in [0, 1]: max(0, l1 - l2 - l3 - l4) over the
+    decreasing roots from :func:`pulsepair.linalg.wootters_roots`."""
+    lam = wootters_roots(rho.matrix)
+    return min(max(float(lam[0] - lam[1] - lam[2] - lam[3]), 0.0), 1.0)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -56,8 +56,10 @@ def test_scan_has_two_peaks_over_a_full_turn():
     )
     y = scan.coincidences
     n = len(y)
+    # The maxima fall midway between grid points, so each peak is a two-point
+    # plateau whose values differ only by round-off; count a plateau once.
     peaks = sum(
-        1 for i in range(n) if y[i] > y[(i - 1) % n] and y[i] > y[(i + 1) % n]
+        1 for i in range(n) if y[i] >= y[(i - 1) % n] and y[i] > y[(i + 1) % n]
     )
     assert peaks == 2
 

@@ -86,6 +86,7 @@ def test_expected_rates_blind_detectors():
 
 def test_expected_rates_match_enumeration_oracle():
     rng = np.random.default_rng(83)
+    angles = []
     for _ in range(40):
         m = random_density_matrix(rng)
         dm = DensityMatrix(m)
@@ -96,6 +97,7 @@ def test_expected_rates_match_enumeration_oracle():
             background_prob2=rng.uniform(0, 0.01),
         )
         t1, t2 = rng.uniform(0, 2 * np.pi, 2)
+        angles.append((t1, t2))
         lam = rng.uniform(0, 0.05)
         r = expected_rates(dm, t1, t2, lam, det)
         o1, o2, oc, oa = enumerated_expected_rates(m, t1, t2, lam, det)
@@ -103,6 +105,14 @@ def test_expected_rates_match_enumeration_oracle():
         assert abs(r.p_single2 - o2) < 1e-14
         assert abs(r.p_coinc - oc) < 1e-14
         assert abs(r.p_accidental - oa) < 1e-14
+    assert all(np.isscalar(v) for v in (r.p_single1, r.p_single2, r.p_coinc, r.p_accidental))
+    # every angle pair at once, on the last state and detectors
+    t1s, t2s = np.array(angles).T
+    r = expected_rates(dm, t1s, t2s, lam, det)
+    for i, (t1, t2) in enumerate(angles):
+        want = enumerated_expected_rates(m, t1, t2, lam, det)
+        got = (r.p_single1[i], r.p_single2[i], r.p_coinc[i], r.p_accidental[i])
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-14, (got, want)
 
 
 def test_pair_click_probs_match_enumeration_oracle():

@@ -193,13 +193,19 @@ def test_coincidence_probability_closed_forms_random_angles():
     phi_plus = pure_to_density(bell_state("phi_plus"))
     phi_minus = pure_to_density(bell_state("phi_minus"))
     rng = np.random.default_rng(17)
-    for t1, t2 in rng.uniform(0, 2 * np.pi, size=(50, 2)):
+    angles = rng.uniform(0, 2 * np.pi, size=(50, 2))
+    for t1, t2 in angles:
         assert abs(
             coincidence_probability(phi_plus, t1, t2) - 0.5 * np.cos(t1 - t2) ** 2
         ) < 1e-12
         assert abs(
             coincidence_probability(phi_minus, t1, t2) - 0.5 * np.cos(t1 + t2) ** 2
         ) < 1e-12
+    # all 50 pairs in one call
+    t1s, t2s = angles.T
+    got = coincidence_probability(phi_minus, t1s, t2s)
+    assert got.shape == (50,)
+    np.testing.assert_allclose(got, 0.5 * np.cos(t1s + t2s) ** 2, atol=1e-12, rtol=0)
 
 
 def test_rotation_covariance_of_phi_plus():
@@ -281,6 +287,24 @@ def test_concurrence_matches_closed_form_on_pure_states():
         amps /= np.linalg.norm(amps)
         exact = abs(amps @ SY2 @ amps)
         assert abs(concurrence(DensityMatrix(np.outer(amps, amps.conj()))) - exact) < 1e-12
+
+
+def test_rank_two_state_with_degenerate_spectrum():
+    # equal mixture of two orthogonal states: eigenvalues 0.5 and 0 are each
+    # doubly degenerate
+    from oracles import SY2
+
+    rng = np.random.default_rng(7)
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    m = u @ np.diag([0.5, 0.5, 0.0, 0.0]) @ u.conj().T
+    dm = DensityMatrix(m)
+    np.testing.assert_allclose(dm.eigenvalues(), [0, 0, 0.5, 0.5], atol=1e-13, rtol=0)
+    # rho rho~ has rank 2, so the oracle's square roots of its two zero
+    # eigenvalues (about 1e-17 after round-off) are off by up to 1e-8; the
+    # exact concurrence keeps only the top two roots of the oracle's recipe
+    e = np.sort(np.linalg.eigvals(m @ SY2 @ m.conj() @ SY2).real)[::-1]
+    assert abs(concurrence(dm) - (np.sqrt(e[0]) - np.sqrt(e[1]))) < 1e-10
+    assert abs(concurrence(dm) - concurrence_oracle(m)) < 1e-7
 
 
 def test_purity_examples():

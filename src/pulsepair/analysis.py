@@ -9,6 +9,7 @@ is reported both as amplitude/offset of the fit and from the extreme bins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +54,13 @@ class FringeScan:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not self.points:
             raise ValueError("scan has no points")
+        if not math.isfinite(self.theta2):
+            raise ValueError(f"theta2 must be finite, got {self.theta2}")
         for pt in self.points:
-            if min(pt.coincidences, pt.singles1, pt.singles2, pt.accidentals) < 0:
+            counts = (pt.coincidences, pt.singles1, pt.singles2, pt.accidentals)
+            if not all(math.isfinite(v) for v in (pt.theta1, *counts)):
+                raise ValueError("scan angles and counts must be finite")
+            if min(counts) < 0:
                 raise ValueError("scan counts must be nonnegative")
 
     @property
@@ -235,11 +241,8 @@ def chsh(
     """CHSH combination |E(a,b) - E(a,b') + E(a',b) + E(a',b')|.
 
     Classical bound 2; the quantum maximum 2*sqrt(2) is reached by Bell
-    states at the standard angle set (0, 45, 22.5, 67.5 degrees).
+    states at the standard angle set (0, 45, 22.5, 67.5 degrees).  The four
+    correlations come from one call.
     """
-    return abs(
-        correlation(rho, a, b)
-        - correlation(rho, a, b_prime)
-        + correlation(rho, a_prime, b)
-        + correlation(rho, a_prime, b_prime)
-    )
+    e = correlation(rho, np.array([a, a, a_prime, a_prime]), np.array([b, b_prime, b, b_prime]))
+    return abs(e[0] - e[1] + e[2] + e[3])

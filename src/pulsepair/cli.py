@@ -8,19 +8,25 @@ Subcommands
     reproduce-fig3  canned two-crystal scenario: imbalanced gains, background
                     at the true-singles level, Monte Carlo fringe plus fit
 
-Configuration is a flat key=value file ('#' comments); any key can be
-overridden through the environment as PULSEPAIR_<KEY>, and scan geometry
-through flags.  Angles on this surface are degrees; the library works in
-radians.  Exit codes: 0 success, 1 configuration error, 2 I/O error.
+Configuration is a flat key=value file ('#' comments).  Its keys are the
+fields of SourceConfig, DetectorConfig and RunConfig, with the pump angle and
+relative phase in degrees (pump_angle_deg, relative_phase_deg), plus
+angle_convention; each parses with its default's type, and a key left out
+takes the dataclass default.  The config file, PULSEPAIR_<KEY> environment
+variables and flags merge key by key in that order, later ones winning, and
+the experiment is built once from the result.  Angles on this surface are
+degrees; the library works in radians.  Exit codes: 0 success, 1
+configuration error, 2 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,40 +52,23 @@ _WORKERS_HELP = "kept for compatibility; no effect on results or speed"
 CONVENTION_STANDARD = "standard"
 CONVENTION_PAPER = "paper"
 
-# accepted config-file keys and their parsers
-CONFIG_KEYS = {
-    "pump_angle_deg": float,
-    "gain_up": float,
-    "gain_down": float,
-    "relative_phase_deg": float,
-    "overlap_mu": float,
-    "mean_pairs_per_pulse": float,
-    "efficiency1": float,
-    "efficiency2": float,
-    "background_prob1": float,
-    "background_prob2": float,
-    "n_pulses": int,
-    "seed": int,
-    "workers": int,
-    "angle_convention": str,
+# Largest scan grid; a finer step is a typo, not an experiment.
+MAX_SCAN_POINTS = 100_000
+
+# The config schema: every field of these dataclasses is a key.  The two
+# angles are radians in the library and degrees in config keys.
+_SECTIONS = {"source": SourceConfig, "detector": DetectorConfig, "run": RunConfig}
+_DEGREES = ("pump_angle", "relative_phase")
+
+# config key -> (ExperimentConfig section, dataclass field)
+_FIELDS = {
+    (f"{f.name}_deg" if f.name in _DEGREES else f.name): (section, f)
+    for section, cls in _SECTIONS.items()
+    for f in fields(cls)
 }
 
-DEFAULT_CONFIG = {
-    "pump_angle_deg": 45.0,
-    "gain_up": 1.0,
-    "gain_down": 1.0,
-    "relative_phase_deg": 0.0,
-    "overlap_mu": 1.0,
-    "mean_pairs_per_pulse": 0.01,
-    "efficiency1": 0.6,
-    "efficiency2": 0.6,
-    "background_prob1": 0.0,
-    "background_prob2": 0.0,
-    "n_pulses": 1_000_000,
-    "seed": 12345,
-    "workers": 1,
-    "angle_convention": CONVENTION_STANDARD,
-}
+# accepted config-file keys and their parsers
+CONFIG_KEYS = {key: type(f.default) for key, (_, f) in _FIELDS.items()} | {"angle_convention": str}
 
 
 class UsageError(Exception):
@@ -110,6 +99,11 @@ class ExperimentConfig:
             raise ValueError("step_deg must be positive")
         if self.stop_deg <= self.start_deg:
             raise ValueError("stop_deg must exceed start_deg")
+        if not (self.stop_deg - self.start_deg) / self.step_deg <= MAX_SCAN_POINTS:  # or NaN
+            raise ValueError(
+                f"scan grid [{self.start_deg:g}, {self.stop_deg:g}) in steps of step_deg "
+                f"{self.step_deg:g} must be finite and hold at most {MAX_SCAN_POINTS} points"
+            )
         if self.mode not in (MODE_ANALYTIC, MODE_MONTE_CARLO):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.angle_convention not in (CONVENTION_STANDARD, CONVENTION_PAPER):
@@ -124,22 +118,20 @@ class ExperimentConfig:
 
     def key_values(self) -> dict:
         """Effective config-file keys, for the run-metadata echo."""
-        return {
-            "pump_angle_deg": np.degrees(self.source.pump_angle),
-            "gain_up": self.source.gain_up,
-            "gain_down": self.source.gain_down,
-            "relative_phase_deg": np.degrees(self.source.relative_phase),
-            "overlap_mu": self.source.overlap_mu,
-            "mean_pairs_per_pulse": self.source.mean_pairs_per_pulse,
-            "efficiency1": self.detector.efficiency1,
-            "efficiency2": self.detector.efficiency2,
-            "background_prob1": self.detector.background_prob1,
-            "background_prob2": self.detector.background_prob2,
-            "n_pulses": self.run.n_pulses,
-            "seed": self.run.seed,
-            "workers": self.run.workers,
-            "angle_convention": self.angle_convention,
-        }
+        values = {}
+        for key, (section, f) in _FIELDS.items():
+            val = getattr(getattr(self, section), f.name)
+            values[key] = np.degrees(val) if f.name in _DEGREES else val
+        values["angle_convention"] = self.angle_convention
+        return values
+
+
+DEFAULT_CONFIG = ExperimentConfig(SourceConfig(), DetectorConfig(), RunConfig()).key_values()
+
+# scan geometry: the ExperimentConfig fields that only flags set
+_GEOMETRY = tuple(
+    f.name for f in fields(ExperimentConfig) if f.name not in (*_SECTIONS, *CONFIG_KEYS)
+)
 
 
 def parse_config_text(text: str, source_name: str = "<config>") -> dict:
@@ -177,44 +169,39 @@ def env_overrides(environ=None) -> dict:
 
 
 def build_experiment(values: dict, **scan_kwargs) -> ExperimentConfig:
-    """Assemble an ExperimentConfig from flat config values plus scan geometry."""
+    """Assemble an ExperimentConfig from flat config values plus scan geometry.
+
+    Keys left out of ``values`` take the config dataclasses' defaults.
+    """
     unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    merged = {**DEFAULT_CONFIG, **values}
-    source = SourceConfig(
-        pump_angle=np.radians(merged["pump_angle_deg"]),
-        gain_up=merged["gain_up"],
-        gain_down=merged["gain_down"],
-        relative_phase=np.radians(merged["relative_phase_deg"]),
-        overlap_mu=merged["overlap_mu"],
-        mean_pairs_per_pulse=merged["mean_pairs_per_pulse"],
-    )
-    detector = DetectorConfig(
-        efficiency1=merged["efficiency1"],
-        efficiency2=merged["efficiency2"],
-        background_prob1=merged["background_prob1"],
-        background_prob2=merged["background_prob2"],
-    )
-    run = RunConfig(
-        n_pulses=merged["n_pulses"], seed=merged["seed"], workers=merged["workers"]
-    )
+    parts: dict = {section: {} for section in _SECTIONS}
+    for key, (section, f) in _FIELDS.items():
+        if key in values:
+            parts[section][f.name] = np.radians(values[key]) if f.name in _DEGREES else values[key]
+    if "angle_convention" in values:
+        scan_kwargs["angle_convention"] = values["angle_convention"]
     return ExperimentConfig(
-        source=source,
-        detector=detector,
-        run=run,
-        angle_convention=merged["angle_convention"],
-        **scan_kwargs,
+        **{section: cls(**parts[section]) for section, cls in _SECTIONS.items()}, **scan_kwargs
     )
 
 
-def load_experiment(config_path: str | None, environ=None, **scan_kwargs) -> ExperimentConfig:
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were set on the command line."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
+def load_experiment(args, environ=None) -> ExperimentConfig:
+    """The experiment of one command: its ``--config`` file, then PULSEPAIR_*
+    variables, then its flags, merged into one set of values."""
     values: dict = {}
-    if config_path is not None:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read(), source_name=config_path))
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            values.update(parse_config_text(fh.read(), source_name=args.config))
     values.update(env_overrides(environ))
-    return build_experiment(values, **scan_kwargs)
+    values.update(_given(args, CONFIG_KEYS))
+    return build_experiment(values, **_given(args, _GEOMETRY))
 
 
 # --- scan CSV and SVG ------------------------------------------------------
@@ -235,14 +222,8 @@ def write_scan_csv(path_or_file, scan: FringeScan, exp: ExperimentConfig) -> Non
             fh.write(f"# {key} = {val}\n")
         fh.write(CSV_HEADER + "\n")
         for pt in scan.points:
-            row = (
-                _fmt(np.degrees(pt.theta1)),
-                _fmt(pt.coincidences),
-                _fmt(pt.singles1),
-                _fmt(pt.singles2),
-                _fmt(pt.accidentals),
-            )
-            fh.write(",".join(row) + "\n")
+            row = (np.degrees(pt.theta1), pt.coincidences, pt.singles1, pt.singles2, pt.accidentals)
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
     if hasattr(path_or_file, "write"):
         _write(path_or_file)
@@ -275,16 +256,8 @@ def load_scan_csv(path: str) -> tuple[FringeScan, dict]:
             parts = line.split(",")
             if len(parts) != 5:
                 raise ValueError(f"bad CSV row: {line!r}")
-            vals = [float(p) for p in parts]
-            rows.append(
-                FringePoint(
-                    theta1=np.radians(vals[0]),
-                    coincidences=vals[1],
-                    singles1=vals[2],
-                    singles2=vals[3],
-                    accidentals=vals[4],
-                )
-            )
+            theta1_deg, *counts = (float(p) for p in parts)
+            rows.append(FringePoint(np.radians(theta1_deg), *counts))
     if not header_seen:
         raise ValueError("CSV has no header row")
     theta2 = np.radians(float(metadata.get("theta2_deg", "45")))
@@ -403,7 +376,7 @@ def _print_fit(fit: FringeFit, out) -> None:
 
 
 def _cmd_state(args, out) -> int:
-    exp = load_experiment(args.config)
+    exp = load_experiment(args)
     rho = emitted_state(exp.source)
     print("basis: " + " ".join(BASIS_LABELS), file=out)
     for row in rho.matrix:
@@ -418,35 +391,10 @@ def _cmd_state(args, out) -> int:
     return 0
 
 
-def _scan_overrides(args) -> dict:
-    kwargs = {}
-    for name in ("theta2_deg", "start_deg", "stop_deg", "step_deg", "mode"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kwargs[name] = val
-    return kwargs
-
-
-def _apply_run_overrides(exp: ExperimentConfig, args) -> ExperimentConfig:
-    run = exp.run
-    if getattr(args, "n_pulses", None) is not None:
-        run = replace(run, n_pulses=args.n_pulses)
-    if getattr(args, "seed", None) is not None:
-        run = replace(run, seed=args.seed)
-    if getattr(args, "workers", None) is not None:
-        run = replace(run, workers=args.workers)
-    return replace(exp, run=run)
-
-
 def _cmd_scan(args, out) -> int:
-    exp = load_experiment(args.config, **_scan_overrides(args))
-    exp = _apply_run_overrides(exp, args)
+    exp = load_experiment(args)
     scan = run_scan(exp)
-    if args.out is None:
-        write_scan_csv(out, scan, exp)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_scan_csv(fh, scan, exp)
+    write_scan_csv(out if args.out is None else args.out, scan, exp)
     if args.svg is not None:
         render_fringe_svg(args.svg, scan)
     return 0
@@ -464,7 +412,7 @@ def _cmd_fit(args, out) -> int:
 
 
 def _cmd_chsh(args, out) -> int:
-    exp = load_experiment(args.config)
+    exp = load_experiment(args)
     rho = emitted_state(exp.source)
     s = chsh(
         rho,
@@ -478,15 +426,11 @@ def _cmd_chsh(args, out) -> int:
 
 
 def _cmd_fig3(args, out) -> int:
-    exp = fig3_experiment(
-        n_pulses=args.n_pulses if args.n_pulses is not None else 10_000_000,
-        seed=args.seed if args.seed is not None else 715_517,
-        workers=args.workers if args.workers is not None else 1,
-    )
+    # the scenario fixes its source and detectors; only its run flags apply
+    exp = fig3_experiment(**_given(args, CONFIG_KEYS))
     scan = run_scan(exp)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_scan_csv(fh, scan, exp)
+        write_scan_csv(args.out, scan, exp)
     if args.svg is not None:
         render_fringe_svg(args.svg, scan)
     print("# raw fit", file=out)
@@ -494,6 +438,17 @@ def _cmd_fig3(args, out) -> int:
     print("# accidental-subtracted fit", file=out)
     _print_fit(fit_fringe(scan, use_accidental_subtraction=True), out)
     return 0
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for angle flags: a float that is neither NaN nor infinite."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return val
 
 
 @functools.cache
@@ -508,10 +463,8 @@ def _build_parser() -> _Parser:
 
     p_scan = sub.add_parser("scan", help="run a polarization scan, write CSV")
     p_scan.add_argument("--config", default=None)
-    p_scan.add_argument("--theta2-deg", dest="theta2_deg", type=float, default=None)
-    p_scan.add_argument("--start-deg", dest="start_deg", type=float, default=None)
-    p_scan.add_argument("--stop-deg", dest="stop_deg", type=float, default=None)
-    p_scan.add_argument("--step-deg", dest="step_deg", type=float, default=None)
+    for flag in ("--theta2-deg", "--start-deg", "--stop-deg", "--step-deg"):
+        p_scan.add_argument(flag, type=_finite_float, default=None)
     p_scan.add_argument("--mode", choices=(MODE_ANALYTIC, MODE_MONTE_CARLO), default=None)
     p_scan.add_argument("--n-pulses", dest="n_pulses", type=int, default=None)
     p_scan.add_argument("--seed", type=int, default=None)
@@ -528,10 +481,10 @@ def _build_parser() -> _Parser:
 
     p_chsh = sub.add_parser("chsh", help="CHSH value of the configured source")
     p_chsh.add_argument("--config", default=None)
-    p_chsh.add_argument("--a-deg", dest="a_deg", type=float, default=0.0)
-    p_chsh.add_argument("--a-prime-deg", dest="a_prime_deg", type=float, default=45.0)
-    p_chsh.add_argument("--b-deg", dest="b_deg", type=float, default=22.5)
-    p_chsh.add_argument("--b-prime-deg", dest="b_prime_deg", type=float, default=67.5)
+    for flag, default in (
+        ("--a-deg", 0.0), ("--a-prime-deg", 45.0), ("--b-deg", 22.5), ("--b-prime-deg", 67.5)
+    ):
+        p_chsh.add_argument(flag, type=_finite_float, default=default)
     p_chsh.set_defaults(func=_cmd_chsh)
 
     p_fig3 = sub.add_parser(

@@ -6,10 +6,11 @@ horizontal, looking along the propagation direction; with that convention a
 polarizer at angle theta projects onto cos(theta)|H> + sin(theta)|V>.
 
 All probabilities are operator traces, and :func:`coincidence_probability`
-broadcasts over arrays of analyzer angles.  Spectra come from LAPACK: the
-eigenvalue checks call ``np.linalg.eigvalsh`` and the concurrence takes its
-Wootters roots from :mod:`pulsepair.linalg`.  Every state object validates
-its own invariants at construction time and is immutable afterwards.
+and :func:`correlation` broadcast over arrays of analyzer angles.  Spectra
+come from LAPACK: the eigenvalue checks call ``np.linalg.eigvalsh`` and the
+concurrence takes its Wootters roots from :mod:`pulsepair.linalg`.  Every
+state object validates its own invariants at construction time and is
+immutable afterwards.
 """
 
 from __future__ import annotations
@@ -205,17 +206,21 @@ def coincidence_probability(
     return np.clip(((w @ rho.matrix) * w).sum(-1).real, 0.0, 1.0)
 
 
-def correlation(rho: DensityMatrix, theta1: float, theta2: float) -> float:
+def correlation(
+    rho: DensityMatrix, theta1: float | np.ndarray, theta2: float | np.ndarray
+) -> float | np.ndarray:
     """Polarization correlation E(theta1, theta2) in [-1, 1].
 
     Built from the four joint pass/block probabilities of the two analyzers,
-    normalized by their sum (which is 1 for a unit-trace state).
+    normalized by their sum (which is 1 for a unit-trace state).  The angles
+    broadcast against each other; scalar angles give a scalar.
     """
-    # an analyzer blocks at theta what it passes at theta + pi/2
+    # an analyzer blocks at theta what it passes at theta + pi/2; the four
+    # pass/block settings go on a new last axis
     h = 0.5 * np.pi
-    pp, bb, pb, bp = coincidence_probability(
-        rho, theta1 + np.array([0.0, h, 0.0, h]), theta2 + np.array([0.0, h, h, 0.0])
-    )
+    t1 = np.expand_dims(theta1, -1) + np.array([0.0, h, 0.0, h])
+    t2 = np.expand_dims(theta2, -1) + np.array([0.0, h, h, 0.0])
+    pp, bb, pb, bp = np.moveaxis(coincidence_probability(rho, t1, t2), -1, 0)
     return (pp + bb - pb - bp) / (pp + bb + pb + bp)
 
 

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from pulsepair import fit_fringe
 from pulsepair.cli import (
+    CONFIG_KEYS,
     CSV_HEADER,
     DEFAULT_CONFIG,
+    MAX_SCAN_POINTS,
     build_experiment,
     env_overrides,
     fig3_experiment,
@@ -68,7 +70,7 @@ def test_parse_config_rejects_unknown_key_and_bad_value():
         parse_config_text("just words")
 
 
-def test_env_overrides_and_precedence():
+def test_env_overrides_and_precedence(tmp_path, monkeypatch):
     env = {"PULSEPAIR_OVERLAP_MU": "0.5", "PULSEPAIR_SEED": "31415"}
     values = env_overrides(env)
     assert values == {"overlap_mu": 0.5, "seed": 31415}
@@ -77,6 +79,32 @@ def test_env_overrides_and_precedence():
     assert exp.run.seed == 31415
     with pytest.raises(ValueError, match="PULSEPAIR_OVERLAP_MU"):
         env_overrides({"PULSEPAIR_OVERLAP_MU": "wat"})
+
+    # flags over env over file, key by key
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(GOOD_CONFIG)
+    csv_path = tmp_path / "scan.csv"
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    code, _, err = _run(["scan", "--config", str(cfg), "--seed", "42", "--out", str(csv_path)])
+    assert code == 0, err
+    _, metadata = load_scan_csv(str(csv_path))
+    assert metadata["seed"] == "42"  # flag over env and file
+    assert metadata["overlap_mu"] == "0.5"  # env over file
+    assert metadata["n_pulses"] == "50000"  # file only
+
+    # an out-of-range env value that a valid flag replaces never reaches a config
+    monkeypatch.setenv("PULSEPAIR_N_PULSES", "0")
+    argv = ["scan", "--mode", "monte-carlo", "--step-deg", "30"]
+    code, out, err = _run(argv + ["--n-pulses", "1000"])
+    assert code == 0, err
+    assert "# n_pulses = 1000\n" in out
+    code, out, err = _run(argv)
+    assert code == 1 and out == "" and "n_pulses" in err
+    # a value that does not parse fails even when a flag would replace it
+    monkeypatch.setenv("PULSEPAIR_N_PULSES", "abc")
+    code, out, err = _run(["scan", "--n-pulses", "1000", "--step-deg", "30"])
+    assert code == 1 and out == "" and "PULSEPAIR_N_PULSES" in err
 
 
 def test_build_experiment_defaults():
@@ -87,6 +115,11 @@ def test_build_experiment_defaults():
     assert exp.theta1_sign == -1
     with pytest.raises(ValueError):
         build_experiment({"angle_convention": "sideways"})
+    # the scan grid is bounded, and the message names step_deg
+    assert len(build_experiment({}, step_deg=360.0 / MAX_SCAN_POINTS).theta1_grid_deg()) > 0
+    for step in (360.0 / (MAX_SCAN_POINTS + 1), float("nan")):
+        with pytest.raises(ValueError, match="step_deg"):
+            build_experiment({}, step_deg=step)
 
 
 def test_metadata_echo_contains_every_accepted_key(tmp_path):
@@ -99,6 +132,27 @@ def test_metadata_echo_contains_every_accepted_key(tmp_path):
     for key in DEFAULT_CONFIG:
         assert key in metadata, key
     assert metadata["mode"] == "analytic"
+    # the exact header: order, keys and value formatting
+    header = [line for line in path.read_text().splitlines() if line.startswith("#")]
+    assert header == [
+        "# pulsepair fringe scan",
+        "# mode = analytic",
+        "# theta2_deg = 45",
+        "# pump_angle_deg = 45.0",
+        "# gain_up = 1.0",
+        "# gain_down = 0.9",
+        "# relative_phase_deg = 0.0",
+        "# overlap_mu = 0.95",
+        "# mean_pairs_per_pulse = 0.01",
+        "# efficiency1 = 0.6",
+        "# efficiency2 = 0.6",
+        "# background_prob1 = 0.001",
+        "# background_prob2 = 0.001",
+        "# n_pulses = 50000",
+        "# seed = 777",
+        "# workers = 1",
+        "# angle_convention = standard",
+    ]
 
 
 # --- CSV round trip ---------------------------------------------------------
@@ -133,6 +187,14 @@ def test_load_scan_csv_rejects_malformed(tmp_path):
         load_scan_csv(str(path))
     path.write_text(CSV_HEADER + "\n1,2,3\n")
     with pytest.raises(ValueError, match="bad CSV row"):
+        load_scan_csv(str(path))
+    for row in ("0,nan,1,1,0", "0,inf,1,1,0", "0,1,1,1,-inf", "nan,1,1,1,0"):
+        rows = "\n".join(f"{t},100,10,10,1" for t in range(10, 360, 10))
+        path.write_text(CSV_HEADER + "\n" + row + "\n" + rows + "\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_scan_csv(str(path))
+    path.write_text("# theta2_deg = inf\n" + CSV_HEADER + "\n0,1,1,1,0\n")
+    with pytest.raises(ValueError, match="finite"):
         load_scan_csv(str(path))
 
 
@@ -284,13 +346,7 @@ def test_n_pulses_above_bound_exits_one_with_one_line(monkeypatch):
     assert len(err.splitlines()) == 1 and "n_pulses" in err, err
 
 
-_BOUNDARY_KEYS = (
-    "MEAN_PAIRS_PER_PULSE",
-    "GAIN_UP",
-    "OVERLAP_MU",
-    "EFFICIENCY1",
-    "BACKGROUND_PROB1",
-)
+_BOUNDARY_KEYS = tuple(key.upper() for key, parse in CONFIG_KEYS.items() if parse is float)
 
 
 # unset, in [0, 1] (valid for every key, so whole runs happen) or any float
@@ -307,13 +363,14 @@ _BOUNDARY_VALUE = st.none() | st.floats(0.0, 1.0) | st.floats()
 @example({"MEAN_PAIRS_PER_PULSE": 5e-324, "GAIN_UP": 5e-324, "OVERLAP_MU": None,
           "EFFICIENCY1": None, "BACKGROUND_PROB1": None})
 def test_boundary_env_values_exit_cleanly(values):
-    """Any float in these variables either runs or exits 1 with one stderr line.
+    """Any float in any float-valued variable either runs or exits 1 with one
+    stderr line.
 
     Python prints every warning to stderr too, so none may be raised.
     """
     env = {"PULSEPAIR_N_PULSES": "2000"}
     env.update({f"PULSEPAIR_{key}": repr(val) for key, val in values.items() if val is not None})
-    for argv in (["state"], ["scan", "--mode", "monte-carlo"]):
+    for argv in (["state"], ["scan", "--mode", "monte-carlo"], ["chsh"]):
         with mock.patch.dict(os.environ, env), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = _run(argv)
@@ -321,6 +378,31 @@ def test_boundary_env_values_exit_cleanly(values):
         assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, err)
         assert not caught, (argv, [str(w.message) for w in caught])
         assert (code == 0) == (err == "") and (code == 0) == (out != ""), (argv, code, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--step-deg", "1e-9"],
+        ["scan", "--theta2-deg", "nan"],
+        ["scan", "--mode", "monte-carlo", "--n-pulses", "1000", "--theta2-deg", "inf"],
+        ["scan", "--start-deg", "-inf"],
+        ["chsh", "--a-deg", "nan"],
+        ["chsh", "--b-prime-deg", "inf"],
+        ["fit", "NAN_CSV"],
+        ["fit", "INF_CSV"],
+    ],
+)
+def test_bad_geometry_angles_and_csv_values_exit_one(tmp_path, argv):
+    for name, bad in (("NAN_CSV", "nan"), ("INF_CSV", "inf")):
+        path = tmp_path / f"{name}.csv"
+        rows = "\n".join(f"{t},100,10,10,1" for t in range(10, 360, 10))
+        path.write_text(f"{CSV_HEADER}\n0,{bad},10,10,1\n{rows}\n")
+        argv = [str(path) if a == name else a for a in argv]
+    code, out, err = _run(argv)
+    assert code == 1, err
+    assert out == ""
+    assert err and "Traceback" not in err
 
 
 def test_missing_config_file_exits_two(tmp_path):

@@ -249,6 +249,12 @@ def test_correlation_examples_and_oracle():
         dm = DensityMatrix(random_density_matrix(rng))
         t1, t2 = rng.uniform(0, 2 * np.pi, 2)
         assert abs(correlation(dm, t1, t2) - correlation_oracle(dm.matrix, t1, t2)) < 1e-12
+    # arrays broadcast theta1 against theta2 and agree with scalar calls
+    t1s, t2s = rng.uniform(0, 2 * np.pi, (3, 1)), rng.uniform(0, 2 * np.pi, 4)
+    grid = correlation(dm, t1s, t2s)
+    assert grid.shape == (3, 4)
+    for (i, j), e in np.ndenumerate(grid):
+        assert e == correlation(dm, t1s[i, 0], t2s[j]), (i, j)
 
 
 # --- entanglement measures -----------------------------------------------------

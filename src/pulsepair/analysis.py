@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counting import (
+    MAX_N_PULSES,
     CountRecord,
     DetectorConfig,
     RunConfig,
@@ -62,6 +63,11 @@ class FringeScan:
                 raise ValueError("scan angles and counts must be finite")
             if min(counts) < 0:
                 raise ValueError("scan counts must be nonnegative")
+            # no run tallies more than its pulses
+            if max(counts) > MAX_N_PULSES:
+                raise ValueError(
+                    f"scan counts must be finite and at most 2**53, got {max(counts):g}"
+                )
 
     @property
     def theta1s(self) -> np.ndarray:

@@ -31,10 +31,20 @@ a binary search over all thresholds returns, so counts are those of the plain
 search.  Chunks of whole blocks run one after another in a single thread.  A
 run is therefore bit-reproducible regardless of chunking or worker count, and
 its cost grows with the number of event pulses, not of pulses or pairs.
+
+Every chunk-sized intermediate is written with ``out=`` into flat buffers of
+one workspace per thread, which every chunk of a run and every later run on
+that thread reuse, so a warm run allocates no chunk-sized array and faults in
+no new pages.  The cached buffers grow to at most the largest first-pass gap
+grid of a default chunk, ``_CACHE_WORDS`` 8-byte items each; a run whose
+explicit ``chunk_size`` needs more gets a workspace of its own, dropped with
+the run.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -232,10 +242,19 @@ _CHUNK_EVENTS = 1 << 14
 # than that; a pulse's event chance below it counts as none.
 _GAP_RESOLUTION = 2.0**-53
 # draw index of an event pulse's joint (k, d1, d2) cell: its only draw
-_DRAW_CELL = 0
+_DRAW_CELL = np.zeros(1, np.uint64)
+# Words in the first-pass gap grid (blocks x gap words) of the largest default
+# chunk: 2**14 blocks of at most 7 words, at about one event per block.  The
+# thread's cached workspace keeps no buffer of more 8-byte items than this.
+_CACHE_WORDS = 7 * _CHUNK_EVENTS
+# positions per batch of the event compaction: 32 KiB of float64
+_COMPACT_ITEMS = 1 << 12
 # The cell guide table has one entry per value of a draw's top bits.
 _GUIDE_BITS = 12
 _GUIDE_SHIFT = np.uint64(64 - _GUIDE_BITS)
+# lowest and highest word of each guide bucket
+_BUCKET_LOWS = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _GUIDE_SHIFT
+_BUCKET_HIGHS = _BUCKET_LOWS | np.uint64(rng.MASK64 >> _GUIDE_BITS)
 
 
 def _event_cells(
@@ -292,38 +311,49 @@ class _PulseTables:
     log_q: float  # ln P(no pair and no background click) for one pulse
     gap_words: int
     cell_cdf: np.ndarray  # uint64 thresholds of the joint (k, d1, d2) cells
-    guide: np.ndarray  # per top-bits bucket: thresholds <= its lowest word
-    crowded: np.ndarray  # per bucket: two or more thresholds inside it
+    guide: np.ndarray  # per top-bits bucket: thresholds <= its lowest word, or -1
 
 
-def _guide_table(cell_cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Guide entries and crowded-bucket flags for the cell thresholds.
+def _guide_table(cell_cdf: np.ndarray) -> np.ndarray:
+    """Guide entries for the cell thresholds.
 
     Bucket j holds the draws whose top ``_GUIDE_BITS`` bits are j.  Its guide
     entry counts the thresholds at or below its lowest word, the first
     candidate for the search count of any draw in it.  A bucket with at most
     one threshold above that word settles every draw in one step; the others
-    are marked crowded.  Entries are int32: the lookup is random reads of
-    this table, and at half the cache footprint of int64 entries a run at
-    lambda = 2 took 8-18 % less time on a 2-vCPU Xeon.
+    are crowded, and their entry is -1.  Entries are int32: the lookup is
+    random reads of this table, and at half the cache footprint of int64
+    entries a run at lambda = 2 took 8-18 % less time on a 2-vCPU Xeon.
     """
-    lows = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _GUIDE_SHIFT
-    highs = lows | np.uint64(rng.MASK64 >> _GUIDE_BITS)
-    guide = np.searchsorted(cell_cdf, lows, side="right")
-    crowded = np.searchsorted(cell_cdf, highs, side="right") - guide >= 2
-    return guide.astype(np.int32), crowded
+    guide = np.searchsorted(cell_cdf, _BUCKET_LOWS, side="right")
+    inside = np.searchsorted(cell_cdf, _BUCKET_HIGHS, side="right")
+    inside -= guide
+    guide[inside >= 2] = -1
+    return guide.astype(np.int32)
 
 
-def _cell_search(tables: _PulseTables, u: np.ndarray) -> np.ndarray:
+def _cell_search(tables: _PulseTables, u: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
     """``np.searchsorted(tables.cell_cdf, u, side="right")`` via the guide table.
 
     The last threshold is ``MASK64``, above every bucket's lowest word, so a
-    guide entry always indexes a threshold and the one step stays in bounds.
+    guide entry of a bucket that is not crowded indexes a threshold, and the
+    one step stays in bounds; draws in crowded buckets take a binary search.
+    ``mode="wrap"`` changes no index in bounds and sends the -1 entries to a
+    threshold whose step the search then replaces; unlike the default mode,
+    it lets ``take`` write straight to its ``out``.  The result is an int32
+    view into ``ws``.
     """
-    bucket = u >> _GUIDE_SHIFT
-    found = tables.guide[bucket]
-    found += tables.cell_cdf[found] <= u
-    crowded = tables.crowded[bucket]
+    ws = _Workspace() if ws is None else ws
+    n = u.size
+    # buckets are below 2**12: their int64 view indexes without conversion
+    bucket = np.right_shift(u, _GUIDE_SHIFT, out=ws.take("scratch", n, np.uint64)).view(np.intp)
+    found = tables.guide.take(bucket, mode="wrap", out=ws.take("cell", n, np.int32))
+    crowded = np.less(found, 0, out=ws.take("crowded", n, np.bool_))
+    # take would convert the int32 indices to a new intp array
+    index = ws.take("index", n, np.intp)
+    np.copyto(index, found)
+    threshold = tables.cell_cdf.take(index, mode="wrap", out=ws.take("threshold", n, np.uint64))
+    found += np.less_equal(threshold, u, out=ws.take("mask", n, np.bool_))
     if crowded.any():
         found[crowded] = np.searchsorted(tables.cell_cdf, u[crowded], side="right")
     return found
@@ -338,70 +368,190 @@ def _build_tables(
         log_q, cell_cdf = 0.0, np.empty(0, np.uint64)  # no event pulses
     else:
         cell_cdf = _event_cells(lam, b1, b2, *pair_click_probs(rho, theta1, theta2, det))
-    guide, crowded = _guide_table(cell_cdf)
     return _PulseTables(
         key=rng.stream_key(run.seed),
         block_key=rng.block_stream_key(run.seed),
         log_q=log_q,
         gap_words=_gap_words(-np.expm1(log_q)),
         cell_cdf=cell_cdf,
-        guide=guide,
-        crowded=crowded,
+        guide=_guide_table(cell_cdf),
     )
 
 
-def _event_pulses(tables: _PulseTables, lo: int, hi: int) -> np.ndarray:
+class _Workspace:
+    """Named flat buffers of the chunk kernel, reused by every chunk that gets it.
+
+    ``take(name, n, dtype)`` returns the first ``n`` items of buffer
+    ``name``, replacing the buffer by a larger one when it is too short; a
+    name always comes with the same dtype.  Given a ``limit`` in bytes, a
+    larger request gets a new array that the workspace does not keep.
+    """
+
+    def __init__(self, limit: int | None = None) -> None:
+        self.limit = limit
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, n: int, dtype) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < n:
+            buf = np.empty(n, dtype)
+            if self.limit is None or buf.nbytes <= self.limit:
+                self._bufs[name] = buf
+        return buf[:n]
+
+
+_thread = threading.local()
+
+
+def _thread_workspace() -> _Workspace:
+    """This thread's workspace, kept across runs and bounded by ``_CACHE_WORDS``.
+
+    Freed chunk-sized temporaries let the allocator hand their pages back to
+    the OS, to be faulted in again by the next chunk; buffers that outlive
+    the run are faulted in once per thread.
+    """
+    ws = getattr(_thread, "ws", None)
+    if ws is None:
+        ws = _thread.ws = _Workspace(_CACHE_WORDS * 8)
+    return ws
+
+
+def _count_from(start: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with start, start + 1, ... (``np.arange`` has no ``out``)."""
+    out.fill(1)
+    out[0] = start
+    return out.cumsum(out=out)
+
+
+def _gap_pass(
+    tables: _PulseTables, keys: np.ndarray, last: np.ndarray, first_word: int, ws: _Workspace
+) -> np.ndarray:
+    """Event positions from gap words ``first_word`` on, one row per block, as a grid in ``ws``.
+
+    Row r continues from ``last[r]`` by ``gap_words`` geometric gaps
+    floor(ln U / ln q) + 1, each from one word w of block key ``keys[r]``,
+    with U = 1 - (w >> 11) 2**-53 in (0, 1].  w >> 11 is below 2**53, so its
+    int64 view converts to float64 exactly, and the scaled value is exactly
+    -(w >> 11) 2**-53.  Steps are whole numbers of at least 1 and ``last``
+    is one too, so every partial sum below 2**53 is exact in any order, and
+    one at or above it rounds to at least 2**53, past every block end:
+    adding ``last`` to the first step gives the positions that adding it to
+    each sum gives, wherever they can count.
+    """
+    shape = (keys.size, tables.gap_words)
+    size = shape[0] * shape[1]
+    words = ws.take("words", size, np.uint64).reshape(shape)
+    scratch = ws.take("scratch", size, np.uint64).reshape(shape)
+    index = _count_from(first_word, ws.take("word_index", tables.gap_words, np.uint64))
+    np.copyto(words, keys[:, None])
+    rng.draw_at(words, index, out=words, scratch=scratch)
+    np.right_shift(words, np.uint64(11), out=scratch)
+    pos = ws.take("pos", size, np.float64).reshape(shape)
+    np.copyto(pos, scratch.view(np.int64))
+    pos *= -(2.0**-53)
+    # U lies in (0, 1], so each step is finite or +inf, never NaN
+    np.log1p(pos, out=pos)
+    pos /= tables.log_q
+    np.floor(pos, out=pos)
+    pos += 1.0
+    pos[:, 0] += last
+    return pos.cumsum(axis=1, out=pos)
+
+
+def _compact(pos: np.ndarray, ends: np.ndarray, out: np.ndarray, ws: _Workspace) -> int:
+    """Copy each row's positions below its block end, in order, to the front
+    of ``out``; returns how many.
+
+    Boolean indexing has no ``out``, so it runs over batches of whole rows
+    of at most ``_COMPACT_ITEMS`` positions, and only a batch's selection
+    is a new array.  Rows rise, so a row's kept positions are a prefix, one
+    run of the mask, which boolean indexing copies run by run.
+    """
+    kept = np.less(pos, ends[:, None], out=ws.take("mask", pos.size, np.bool_).reshape(pos.shape))
+    rows = max(1, _COMPACT_ITEMS // pos.shape[1])
+    found = 0
+    for r in range(0, pos.shape[0], rows):
+        batch = pos[r : r + rows][kept[r : r + rows]]
+        out[found : found + batch.size] = batch
+        found += batch.size
+    return found
+
+
+def _event_pulses(
+    tables: _PulseTables, lo: int, hi: int, ws: _Workspace | None = None
+) -> np.ndarray:
     """Sorted indices of the pulses in [lo, hi) with a pair or a background click.
 
     ``lo`` is a block bound and ``hi`` a block bound or the end of the run.
     Word j of block b gives the geometric gap floor(ln U / ln q) between event
     pulses, U in (0, 1]; a block whose words run out before it ends draws the
     next ones by word index, so the events depend only on (seed, block, word).
+    The indices are float64, exact below 2**53, in a view into ``ws``.
     """
+    ws = _Workspace() if ws is None else ws
     if tables.log_q == 0.0:
-        return np.empty(0, np.int64)
-    blocks = np.arange(lo >> _BLOCK_BITS, -(-hi >> _BLOCK_BITS), dtype=np.uint64)
-    keys = rng.pulse_keys(tables.block_key, blocks)[:, None]
-    # positions are float64 pulse indices, exact below 2**53
-    starts = blocks.astype(np.float64) * _BLOCK
-    ends = np.minimum(starts + _BLOCK, hi)
-    last = starts - 1.0  # last position drawn per block
-    rows = np.arange(blocks.size)
-    found = []
+        return ws.take("events", 0, np.float64)
+    first_block = lo >> _BLOCK_BITS
+    n_blocks = -(-hi >> _BLOCK_BITS) - first_block
+    keys = _count_from(first_block, ws.take("block_keys", n_blocks, np.uint64))
+    last = ws.take("last", n_blocks, np.float64)  # last position drawn per block
+    np.copyto(last, keys)
+    last *= _BLOCK
+    ends = np.add(last, _BLOCK, out=ws.take("ends", n_blocks, np.float64))
+    np.minimum(ends, hi, out=ends)
+    last -= 1.0
+    scratch = ws.take("scratch", n_blocks, np.uint64)
+    rng.pulse_keys(tables.block_key, keys, out=keys, scratch=scratch)
+    events = ws.take("events", n_blocks * tables.gap_words, np.float64)
+    found = 0
     first_word = 0
-    while rows.size:
-        words = np.arange(first_word, first_word + tables.gap_words, dtype=np.uint64)
-        u = rng.to_unit(rng.draw_at(keys[rows], words))
-        # 1 - u lies in (0, 1], so each step is finite or +inf, never NaN
-        pos = np.cumsum(np.floor(np.log1p(-u) / tables.log_q) + 1.0, axis=1)
-        pos += last[rows, None]
-        found.append(pos[pos < ends[rows, None]])
-        last[rows] = pos[:, -1]
-        rows = rows[pos[:, -1] < ends[rows]]
+    while True:
+        pos = _gap_pass(tables, keys, last, first_word, ws)
+        if found + pos.size > events.size:  # a later pass, past the buffer
+            events = np.concatenate((events[:found], np.empty(pos.size)))
+        found += _compact(pos, ends, events[found:], ws)
+        more = pos[:, -1] < ends
+        if not more.any():
+            break
+        keys, last, ends = keys[more], pos[more, -1], ends[more]
         first_word += tables.gap_words
-    events = np.concatenate(found).astype(np.int64)
-    # a second pass appends a block's later events behind other blocks
-    return events if len(found) == 1 else np.sort(events)
+    events = events[:found]
+    if first_word:
+        events.sort()  # a later pass appends a block's later events behind other blocks
+    return events
 
 
-def _run_chunk(tables: _PulseTables, lo: int, hi: int) -> tuple[int, int, int, int, bool, bool]:
+def _run_chunk(
+    tables: _PulseTables, lo: int, hi: int, ws: _Workspace
+) -> tuple[int, int, int, int, bool, bool]:
     """Tallies for pulses [lo, hi): singles, coincidences, in-chunk accidentals
-    and the edge detector flags needed to stitch accidentals across chunks."""
-    events = _event_pulses(tables, lo, hi)
-    if events.size == 0:
+    and the edge detector flags needed to stitch accidentals across chunks.
+    Every chunk-sized intermediate lives in ``ws``."""
+    events = _event_pulses(tables, lo, hi, ws)
+    n = events.size
+    if n == 0:
         return 0, 0, 0, 0, False, False
-    keys = rng.pulse_keys(tables.key, events.astype(np.uint64))
-    cell = _cell_search(tables, rng.draw(keys, _DRAW_CELL))
+    keys = ws.take("words", n, np.uint64)
+    scratch = ws.take("scratch", n, np.uint64)
+    # whole numbers below 2**53: the cast to int64 is exact, and faster than to uint64
+    np.copyto(keys.view(np.int64), events, casting="unsafe")
+    rng.pulse_keys(tables.key, keys, out=keys, scratch=scratch)
+    rng.draw_at(keys, _DRAW_CELL, out=keys, scratch=scratch)
+    cell = _cell_search(tables, keys, ws)
     np.minimum(cell, tables.cell_cdf.size - 1, out=cell)
     cell += 1
-    d1 = (cell & 1).astype(bool)
-    d2 = (cell & 2).astype(bool)
+    d1 = np.bitwise_and(cell, 1, out=ws.take("d1", n, np.bool_), casting="unsafe")
+    d2 = np.bitwise_and(cell, 2, out=ws.take("d2", n, np.bool_), casting="unsafe")
     singles1 = int(np.count_nonzero(d1))
     singles2 = int(np.count_nonzero(d2))
-    coincidences = int(np.count_nonzero(d1 & d2))
+    both = np.logical_and(d1, d2, out=ws.take("mask", n, np.bool_))
+    coincidences = int(np.count_nonzero(both))
     # D1 at one event pulse and D2 at the next, when that is the next pulse
-    adjacent = events[1:] == events[:-1] + 1
-    accidentals = int(np.count_nonzero(d1[:-1] & d2[1:] & adjacent))
+    after = np.add(events[:-1], 1.0, out=ws.take("pos", n - 1, np.float64))
+    delayed = np.equal(events[1:], after, out=both[:-1])
+    np.logical_and(delayed, d1[:-1], out=delayed)
+    np.logical_and(delayed, d2[1:], out=delayed)
+    accidentals = int(np.count_nonzero(delayed))
     return (
         singles1,
         singles2,
@@ -410,6 +560,16 @@ def _run_chunk(tables: _PulseTables, lo: int, hi: int) -> tuple[int, int, int, i
         bool(d1[-1]) and int(events[-1]) == hi - 1,
         bool(d2[0]) and int(events[0]) == lo,
     )
+
+
+def _chunk_blocks(p_event: float, chunk_size: int | None) -> int:
+    """Whole blocks per chunk: ``chunk_size`` pulses rounded up, or by default
+    about ``_CHUNK_EVENTS`` expected event pulses."""
+    if chunk_size is None:
+        return max(1, int(_CHUNK_EVENTS / max(_BLOCK * p_event, 1.0)))
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    return -(-chunk_size >> _BLOCK_BITS)
 
 
 def simulate_run(
@@ -431,25 +591,26 @@ def simulate_run(
     thresholds, so counts equal those of the binary-search kernel.  The result
     depends only on (seed, configs): chunk size only sets the memory of one
     chunk, and ``run.workers`` has no effect, because the chunks run one after
-    another in this thread.  The counts for a given seed differ from those of
-    earlier samplers, which routed every pair photon by photon; their
-    statistics do not.  Chunks are whole blocks (``chunk_size`` is rounded up
-    to one); by default a chunk holds about 16 k expected event pulses.
+    another in this thread, in this thread's workspace.  The counts for a
+    given seed differ from those of earlier samplers, which routed every pair
+    photon by photon; their statistics do not.  Chunks are whole blocks
+    (``chunk_size`` is rounded up to one); by default a chunk holds about
+    16 k expected event pulses.  Non-finite analyzer angles raise
+    ``ValueError``.
     """
+    for name, theta in (("theta1", theta1), ("theta2", theta2)):
+        if not math.isfinite(theta):
+            raise ValueError(f"analyzer angle {name} must be finite, got {theta}")
     rho = emitted_state(cfg)
     lam = cfg.mean_pairs_per_pulse
     tables = _build_tables(rho, theta1, theta2, det, run, lam)
 
-    if chunk_size is None:
-        events_per_block = _BLOCK * -np.expm1(tables.log_q)
-        chunk_blocks = max(1, int(_CHUNK_EVENTS / max(events_per_block, 1.0)))
-    elif chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    else:
-        chunk_blocks = -(-chunk_size >> _BLOCK_BITS)
+    chunk_blocks = _chunk_blocks(-np.expm1(tables.log_q), chunk_size)
     step = chunk_blocks * _BLOCK
     n = run.n_pulses
-    results = [_run_chunk(tables, lo, min(lo + step, n)) for lo in range(0, n, step)]
+    # a chunk larger than any default one gets buffers that go with the run
+    ws = _thread_workspace() if chunk_blocks * tables.gap_words <= _CACHE_WORDS else _Workspace()
+    results = [_run_chunk(tables, lo, min(lo + step, n), ws) for lo in range(0, n, step)]
 
     singles1 = sum(r[0] for r in results)
     singles2 = sum(r[1] for r in results)

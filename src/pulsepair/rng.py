@@ -32,13 +32,17 @@ _PULSE_GAMMA_U64 = np.uint64(PULSE_GAMMA)
 _DRAW_GAMMA_U64 = np.uint64(DRAW_GAMMA)
 
 
-def mix64(z: np.ndarray) -> np.ndarray:
-    """Finalize a uint64 array in place; returns the diffused array."""
-    z ^= z >> _S30
+def mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Finalize a uint64 array in place; returns the diffused array.
+
+    ``scratch``, a uint64 array of z's shape, takes the shifted words that
+    would otherwise go to a new temporary at each of the three rounds.
+    """
+    z ^= np.right_shift(z, _S30, out=scratch)
     z *= _M1
-    z ^= z >> _S27
+    z ^= np.right_shift(z, _S27, out=scratch)
     z *= _M2
-    z ^= z >> _S31
+    z ^= np.right_shift(z, _S31, out=scratch)
     return z
 
 
@@ -69,27 +73,35 @@ def derive_seed(seed: int, index: int) -> int:
     return mix64_int(stream_key(seed) + (index + 1) * DRAW_GAMMA)
 
 
-def pulse_keys(key: int, pulse_indices: np.ndarray) -> np.ndarray:
-    """Per-pulse hash keys for a contiguous uint64 array of pulse indices."""
-    z = pulse_indices * _PULSE_GAMMA_U64
+def pulse_keys(
+    key: int,
+    pulse_indices: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-pulse hash keys for a uint64 array of pulse indices.
+
+    ``out`` (which may be ``pulse_indices`` itself) receives the keys and
+    ``scratch`` serves :func:`mix64`; both default to new arrays.
+    """
+    z = np.multiply(pulse_indices, _PULSE_GAMMA_U64, out=out)
     z += np.uint64(key)
-    return mix64(z)
+    return mix64(z, scratch)
 
 
-def draw(keys: np.ndarray, draw_index: int) -> np.ndarray:
-    """Uniform uint64 draw number ``draw_index`` for every pulse key."""
-    off = np.uint64(((draw_index + 1) * DRAW_GAMMA) & MASK64)
-    return mix64(keys + off)
+def draw_at(
+    keys: np.ndarray,
+    draw_indices: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Uniform uint64 draws, one per pulse key and draw index.
 
-
-def draw_at(keys: np.ndarray, draw_indices: np.ndarray) -> np.ndarray:
-    """Like :func:`draw` but with a uint64 draw-index array that broadcasts
-    against ``keys`` (per element, or a row of indices for a column of keys)."""
+    ``draw_indices`` is a uint64 array that broadcasts against ``keys``: per
+    element, one index for all keys, or a row of indices for a column of
+    keys.  ``out`` (which may be ``keys`` itself) receives the draws and
+    ``scratch`` serves :func:`mix64`; both default to new arrays.
+    """
     off = draw_indices + np.uint64(1)
     off *= _DRAW_GAMMA_U64
-    return mix64(keys + off)
-
-
-def to_unit(u: np.ndarray) -> np.ndarray:
-    """Map uint64 draws onto float64 uniforms in [0, 1)."""
-    return (u >> np.uint64(11)) * (1.0 / (1 << 53))
+    return mix64(np.add(keys, off, out=out), scratch)

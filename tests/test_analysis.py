@@ -260,3 +260,15 @@ def test_fringe_scan_validation():
         )
     with pytest.raises(ValueError, match="no points"):
         FringeScan(theta2=0.0, points=(), mode="analytic")
+    # no run has more than 2**53 pulses, so no tally can exceed that
+    FringeScan(theta2=0.0, points=(FringePoint(0, 2.0**53, 2.0**53, 2.0**53, 0),), mode="analytic")
+    for point in (FringePoint(0, 1e308, 1e308, 1e308, 0), FringePoint(0, 1, 1, 1, 2.0**54)):
+        with pytest.raises(ValueError, match="at most 2\\*\\*53"):
+            FringeScan(theta2=0.0, points=(point,), mode="analytic")
+
+
+def test_monte_carlo_scan_rejects_non_finite_theta2():
+    run = RunConfig(n_pulses=1000, seed=1)
+    with pytest.raises(ValueError, match="theta2"):
+        polarization_scan(SourceConfig(), DetectorConfig(), run, float("nan"), [0.0],
+                          mode="monte-carlo")

@@ -188,7 +188,9 @@ def test_load_scan_csv_rejects_malformed(tmp_path):
     path.write_text(CSV_HEADER + "\n1,2,3\n")
     with pytest.raises(ValueError, match="bad CSV row"):
         load_scan_csv(str(path))
-    for row in ("0,nan,1,1,0", "0,inf,1,1,0", "0,1,1,1,-inf", "nan,1,1,1,0"):
+    for row in (
+        "0,nan,1,1,0", "0,inf,1,1,0", "0,1,1,1,-inf", "nan,1,1,1,0", "0,1e308,1e308,1e308,0"
+    ):
         rows = "\n".join(f"{t},100,10,10,1" for t in range(10, 360, 10))
         path.write_text(CSV_HEADER + "\n" + row + "\n" + rows + "\n")
         with pytest.raises(ValueError, match="finite"):
@@ -391,13 +393,18 @@ def test_boundary_env_values_exit_cleanly(values):
         ["chsh", "--b-prime-deg", "inf"],
         ["fit", "NAN_CSV"],
         ["fit", "INF_CSV"],
+        ["fit", "HUGE_CSV"],
     ],
 )
 def test_bad_geometry_angles_and_csv_values_exit_one(tmp_path, argv):
-    for name, bad in (("NAN_CSV", "nan"), ("INF_CSV", "inf")):
+    for name, bad_row in (
+        ("NAN_CSV", "0,nan,10,10,1"),
+        ("INF_CSV", "0,inf,10,10,1"),
+        ("HUGE_CSV", "0,1e308,1e308,1e308,0"),
+    ):
         path = tmp_path / f"{name}.csv"
         rows = "\n".join(f"{t},100,10,10,1" for t in range(10, 360, 10))
-        path.write_text(f"{CSV_HEADER}\n0,{bad},10,10,1\n{rows}\n")
+        path.write_text(f"{CSV_HEADER}\n{bad_row}\n{rows}\n")
         argv = [str(path) if a == name else a for a in argv]
     code, out, err = _run(argv)
     assert code == 1, err

@@ -1,5 +1,10 @@
 """Analytic rates against the enumeration oracle; Monte Carlo statistics."""
 
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -167,6 +172,14 @@ def test_simulate_run_deterministic_across_workers_and_chunks():
         cfg, 0.2, 0.9, det, RunConfig(200_000, seed=99, workers=3), chunk_size=777
     )
     assert odd_chunks == records[0]
+
+
+@pytest.mark.parametrize("theta1, theta2", [(float("nan"), 0.3), (0.3, float("inf")),
+                                            (-float("inf"), 0.3), (0.3, float("nan"))])
+def test_simulate_run_rejects_non_finite_angles(theta1, theta2):
+    name = "theta1" if not np.isfinite(theta1) else "theta2"
+    with pytest.raises(ValueError, match=name):
+        simulate_run(SourceConfig(), theta1, theta2, DetectorConfig(), RunConfig(1000))
 
 
 def test_simulate_run_different_seeds_differ():
@@ -406,3 +419,94 @@ def test_counts_pinned_to_binary_search_kernel(workers, chunk):
     run = RunConfig(200_000, seed=12345, workers=workers)
     rec = simulate_run(dense, 30 * DEG, 45 * DEG, det, run, chunk_size=chunk)
     assert rec == _DENSE_RECORD
+
+
+# --- kernel workspace -----------------------------------------------------------
+
+_DENSE = (SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=2.0),
+          DetectorConfig(0.6, 0.6, 1e-3, 1e-3))
+
+
+def _workspace_runs():
+    """(source, detector, run, chunk_size) at lambda 0.01, 2 and 1000; the
+    2**18-pulse chunks at lambda 2 need more than the cached workspace holds."""
+    fig3 = fig3_experiment(n_pulses=1_000_000)
+    huge = SourceConfig(mean_pairs_per_pulse=1000.0)
+    cases = []
+    for chunk in (None, 1, 77_777, 1 << 18):
+        cases.append((fig3.source, fig3.detector, RunConfig(1_000_000, seed=41), chunk))
+        cases.append((*_DENSE, RunConfig(300_000, seed=42), chunk))
+        cases.append((huge, DetectorConfig(), RunConfig(20_000, seed=43), chunk))
+    return cases
+
+
+def test_default_chunks_fit_the_cached_workspace():
+    for p_event in np.concatenate((np.geomspace(1e-16, 1.0, 4001), [1.0 / counting._BLOCK])):
+        words = counting._chunk_blocks(p_event, None) * counting._gap_words(p_event)
+        assert words <= counting._CACHE_WORDS, p_event
+    rho = emitted_state(_DENSE[0])
+    tables = counting._build_tables(rho, 0.0, 0.0, _DENSE[1], RunConfig(10), 2.0)
+    p_event = -np.expm1(tables.log_q)
+    assert counting._chunk_blocks(p_event, 1 << 18) * tables.gap_words > counting._CACHE_WORDS
+
+
+def test_workspace_reuse_leaks_nothing_between_runs():
+    cases = _workspace_runs()
+    first = simulate_run(cases[0][0], 0.3, 0.9, cases[0][1], cases[0][2], chunk_size=cases[0][3])
+    records = [simulate_run(src, 0.3, 0.9, det, run, chunk_size=chunk)
+               for src, det, run, chunk in cases]
+    assert records[0] == first
+    again = [simulate_run(src, 0.3, 0.9, det, run, chunk_size=chunk)
+             for src, det, run, chunk in reversed(cases)]
+    assert again[::-1] == records
+    assert simulate_run(cases[0][0], 0.3, 0.9, cases[0][1], cases[0][2],
+                        chunk_size=cases[0][3]) == first
+    # a run whose chunks outgrow the cache got buffers of its own
+    cached = counting._thread_workspace()._bufs.values()
+    assert max(buf.nbytes for buf in cached) <= counting._CACHE_WORDS * 8
+
+
+def test_concurrent_runs_in_threads_match_serial_runs():
+    cases = _workspace_runs()
+    serial = [simulate_run(src, 0.3, 0.9, det, run, chunk_size=chunk)
+              for src, det, run, chunk in cases]
+    start = threading.Barrier(2, timeout=60)
+
+    def run_all(order):
+        start.wait()
+        return [simulate_run(cases[i][0], 0.3, 0.9, cases[i][1], cases[i][2],
+                             chunk_size=cases[i][3]) for i in order]
+
+    forward = list(range(len(cases)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            a = pool.submit(run_all, forward)
+            b = pool.submit(run_all, forward[::-1])
+            assert a.result(timeout=120) == serial
+            assert b.result(timeout=120)[::-1] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("setting", ["fig3", "dense"])
+def test_warm_kernel_allocates_no_chunk_sized_array(setting):
+    """A warm default-chunk run peaks below 128 KiB above its baseline under
+    tracemalloc; one float64 per event of a default chunk alone is 128 KiB."""
+    if setting == "fig3":
+        fig3 = fig3_experiment()
+        src, det, run = fig3.source, fig3.detector, fig3.run
+    else:
+        src, det = _DENSE
+        run = RunConfig(200_000, seed=12345)
+    simulate_run(src, 30 * DEG, 45 * DEG, det, run)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_run(src, 30 * DEG, 45 * DEG, det, run)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024, peak

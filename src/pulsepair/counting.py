@@ -35,10 +35,9 @@ its cost grows with the number of event pulses, not of pulses or pairs.
 Every chunk-sized intermediate is written with ``out=`` into flat buffers of
 one workspace per thread, which every chunk of a run and every later run on
 that thread reuse, so a warm run allocates no chunk-sized array and faults in
-no new pages.  The cached buffers grow to at most the largest first-pass gap
-grid of a default chunk, ``_CACHE_WORDS`` 8-byte items each; a run whose
-explicit ``chunk_size`` needs more gets a workspace of its own, dropped with
-the run.
+no new pages.  A buffer is kept only up to the largest first-pass gap grid of
+a default chunk, ``_CACHE_WORDS`` 8-byte items; a larger one, which only an
+explicit ``chunk_size`` asks for, is a new array that the workspace drops.
 """
 
 from __future__ import annotations
@@ -245,7 +244,7 @@ _GAP_RESOLUTION = 2.0**-53
 _DRAW_CELL = np.zeros(1, np.uint64)
 # Words in the first-pass gap grid (blocks x gap words) of the largest default
 # chunk: 2**14 blocks of at most 7 words, at about one event per block.  The
-# thread's cached workspace keeps no buffer of more 8-byte items than this.
+# workspace keeps no buffer of more 8-byte items than this.
 _CACHE_WORDS = 7 * _CHUNK_EVENTS
 # positions per batch of the event compaction: 32 KiB of float64
 _COMPACT_ITEMS = 1 << 12
@@ -332,7 +331,7 @@ def _guide_table(cell_cdf: np.ndarray) -> np.ndarray:
     return guide.astype(np.int32)
 
 
-def _cell_search(tables: _PulseTables, u: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+def _cell_search(tables: _PulseTables, u: np.ndarray, ws: _Workspace) -> np.ndarray:
     """``np.searchsorted(tables.cell_cdf, u, side="right")`` via the guide table.
 
     The last threshold is ``MASK64``, above every bucket's lowest word, so a
@@ -343,7 +342,6 @@ def _cell_search(tables: _PulseTables, u: np.ndarray, ws: _Workspace | None = No
     it lets ``take`` write straight to its ``out``.  The result is an int32
     view into ``ws``.
     """
-    ws = _Workspace() if ws is None else ws
     n = u.size
     # buckets are below 2**12: their int64 view indexes without conversion
     bucket = np.right_shift(u, _GUIDE_SHIFT, out=ws.take("scratch", n, np.uint64)).view(np.intp)
@@ -383,19 +381,19 @@ class _Workspace:
 
     ``take(name, n, dtype)`` returns the first ``n`` items of buffer
     ``name``, replacing the buffer by a larger one when it is too short; a
-    name always comes with the same dtype.  Given a ``limit`` in bytes, a
-    larger request gets a new array that the workspace does not keep.
+    name always comes with the same dtype.  A request over ``_CACHE_WORDS``
+    8-byte items gets a new array that the workspace does not keep, so a
+    huge ``chunk_size`` cannot pin memory.
     """
 
-    def __init__(self, limit: int | None = None) -> None:
-        self.limit = limit
+    def __init__(self) -> None:
         self._bufs: dict[str, np.ndarray] = {}
 
     def take(self, name: str, n: int, dtype) -> np.ndarray:
         buf = self._bufs.get(name)
         if buf is None or buf.size < n:
             buf = np.empty(n, dtype)
-            if self.limit is None or buf.nbytes <= self.limit:
+            if buf.nbytes <= _CACHE_WORDS * 8:
                 self._bufs[name] = buf
         return buf[:n]
 
@@ -412,15 +410,8 @@ def _thread_workspace() -> _Workspace:
     """
     ws = getattr(_thread, "ws", None)
     if ws is None:
-        ws = _thread.ws = _Workspace(_CACHE_WORDS * 8)
+        ws = _thread.ws = _Workspace()
     return ws
-
-
-def _count_from(start: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with start, start + 1, ... (``np.arange`` has no ``out``)."""
-    out.fill(1)
-    out[0] = start
-    return out.cumsum(out=out)
 
 
 def _gap_pass(
@@ -442,7 +433,7 @@ def _gap_pass(
     size = shape[0] * shape[1]
     words = ws.take("words", size, np.uint64).reshape(shape)
     scratch = ws.take("scratch", size, np.uint64).reshape(shape)
-    index = _count_from(first_word, ws.take("word_index", tables.gap_words, np.uint64))
+    index = np.arange(first_word, first_word + tables.gap_words, dtype=np.uint64)
     np.copyto(words, keys[:, None])
     rng.draw_at(words, index, out=words, scratch=scratch)
     np.right_shift(words, np.uint64(11), out=scratch)
@@ -465,9 +456,13 @@ def _compact(pos: np.ndarray, ends: np.ndarray, out: np.ndarray, ws: _Workspace)
     Boolean indexing has no ``out``, so it runs over batches of whole rows
     of at most ``_COMPACT_ITEMS`` positions, and only a batch's selection
     is a new array.  Rows rise, so a row's kept positions are a prefix, one
-    run of the mask, which boolean indexing copies run by run.
+    run of the mask, which boolean indexing copies run by run.  The block
+    ends are first copied out to ``pos``'s shape, since comparing against
+    their broadcast column would take an iterator buffer of up to 64 KiB.
     """
-    kept = np.less(pos, ends[:, None], out=ws.take("mask", pos.size, np.bool_).reshape(pos.shape))
+    limit = ws.take("scratch", pos.size, np.uint64).view(np.float64).reshape(pos.shape)
+    np.copyto(limit, ends[:, None])
+    kept = np.less(pos, limit, out=ws.take("mask", pos.size, np.bool_).reshape(pos.shape))
     rows = max(1, _COMPACT_ITEMS // pos.shape[1])
     found = 0
     for r in range(0, pos.shape[0], rows):
@@ -477,9 +472,7 @@ def _compact(pos: np.ndarray, ends: np.ndarray, out: np.ndarray, ws: _Workspace)
     return found
 
 
-def _event_pulses(
-    tables: _PulseTables, lo: int, hi: int, ws: _Workspace | None = None
-) -> np.ndarray:
+def _event_pulses(tables: _PulseTables, lo: int, hi: int, ws: _Workspace) -> np.ndarray:
     """Sorted indices of the pulses in [lo, hi) with a pair or a background click.
 
     ``lo`` is a block bound and ``hi`` a block bound or the end of the run.
@@ -488,12 +481,11 @@ def _event_pulses(
     next ones by word index, so the events depend only on (seed, block, word).
     The indices are float64, exact below 2**53, in a view into ``ws``.
     """
-    ws = _Workspace() if ws is None else ws
     if tables.log_q == 0.0:
         return ws.take("events", 0, np.float64)
     first_block = lo >> _BLOCK_BITS
     n_blocks = -(-hi >> _BLOCK_BITS) - first_block
-    keys = _count_from(first_block, ws.take("block_keys", n_blocks, np.uint64))
+    keys = np.arange(first_block, first_block + n_blocks, dtype=np.uint64)
     last = ws.take("last", n_blocks, np.float64)  # last position drawn per block
     np.copyto(last, keys)
     last *= _BLOCK
@@ -608,8 +600,7 @@ def simulate_run(
     chunk_blocks = _chunk_blocks(-np.expm1(tables.log_q), chunk_size)
     step = chunk_blocks * _BLOCK
     n = run.n_pulses
-    # a chunk larger than any default one gets buffers that go with the run
-    ws = _thread_workspace() if chunk_blocks * tables.gap_words <= _CACHE_WORDS else _Workspace()
+    ws = _thread_workspace()
     results = [_run_chunk(tables, lo, min(lo + step, n), ws) for lo in range(0, n, step)]
 
     singles1 = sum(r[0] for r in results)

@@ -100,8 +100,14 @@ def draw_at(
     ``draw_indices`` is a uint64 array that broadcasts against ``keys``: per
     element, one index for all keys, or a row of indices for a column of
     keys.  ``out`` (which may be ``keys`` itself) receives the draws and
-    ``scratch`` serves :func:`mix64`; both default to new arrays.
+    ``scratch``, of the keys' shape, serves :func:`mix64`; both default to
+    new arrays.
     """
     off = draw_indices + np.uint64(1)
     off *= _DRAW_GAMMA_U64
+    if scratch is not None:
+        # numpy gives a ufunc's broadcast operand an iterator buffer of up to
+        # 64 KiB per call; a broadcasting copy takes none
+        np.copyto(scratch, off)
+        off = scratch
     return mix64(np.add(keys, off, out=out), scratch)

@@ -321,7 +321,7 @@ def test_event_pulse_count_is_binomial(lam, b1, b2):
     cfg = SourceConfig(mean_pairs_per_pulse=lam)
     det = DetectorConfig(0.6, 0.6, b1, b2)
     tables = counting._build_tables(emitted_state(cfg), 0.0, 0.0, det, RunConfig(n, seed=77), lam)
-    events = counting._event_pulses(tables, 0, n)
+    events = counting._event_pulses(tables, 0, n, counting._Workspace())
     assert events.size == 0 or (events[0] >= 0 and events[-1] < n)
     assert np.all(np.diff(events) > 0)
     p_event = 1 - (1 - b1) * (1 - b2) * np.exp(-lam)
@@ -375,7 +375,7 @@ def test_no_events_without_pairs_or_background():
     det = DetectorConfig()
     n = 3 * counting._BLOCK + 123
     tables = counting._build_tables(emitted_state(cfg), 0.3, 0.9, det, RunConfig(n), 0.0)
-    assert counting._event_pulses(tables, 0, n).size == 0
+    assert counting._event_pulses(tables, 0, n, counting._Workspace()).size == 0
     for chunk in (None, 1, 777):
         rec = simulate_run(cfg, 0.3, 0.9, det, RunConfig(n, seed=3, workers=2), chunk_size=chunk)
         assert rec == CountRecord(n, 0, 0, 0, 0)
@@ -399,7 +399,7 @@ def test_guide_lookup_equals_searchsorted(lam, b1, b2):
         edges = np.concatenate((cdf, cdf - np.uint64(1), cdf + np.uint64(1)))
     u = np.concatenate((random_words, edges, np.array([0, rng.MASK64], np.uint64)))
     assert cdf.size > 1 and cdf[-1] == rng.MASK64
-    got = counting._cell_search(tables, u)
+    got = counting._cell_search(tables, u, counting._Workspace())
     np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
 
 
@@ -461,7 +461,7 @@ def test_workspace_reuse_leaks_nothing_between_runs():
     assert again[::-1] == records
     assert simulate_run(cases[0][0], 0.3, 0.9, cases[0][1], cases[0][2],
                         chunk_size=cases[0][3]) == first
-    # a run whose chunks outgrow the cache got buffers of its own
+    # buffers of the chunks that outgrow the cap were not kept
     cached = counting._thread_workspace()._bufs.values()
     assert max(buf.nbytes for buf in cached) <= counting._CACHE_WORDS * 8
 

@@ -192,13 +192,23 @@ def _given(args, names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
+def _read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; a file that does not decode raises
+    ValueError naming it, and one that cannot be read OSError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            where = f"byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+            raise ValueError(f"{path} is not UTF-8 text: {where}") from None
+
+
 def load_experiment(args, environ=None) -> ExperimentConfig:
     """The experiment of one command: its ``--config`` file, then PULSEPAIR_*
     variables, then its flags, merged into one set of values."""
     values: dict = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read(), source_name=args.config))
+        values.update(parse_config_text(_read_text(args.config), source_name=args.config))
     values.update(env_overrides(environ))
     values.update(_given(args, CONFIG_KEYS))
     return build_experiment(values, **_given(args, _GEOMETRY))
@@ -237,27 +247,26 @@ def load_scan_csv(path: str) -> tuple[FringeScan, dict]:
     metadata: dict = {}
     rows: list[FringePoint] = []
     header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, val = (s.strip() for s in body.partition("="))
-                    metadata[key] = val
-                continue
-            if not header_seen:
-                if line != CSV_HEADER:
-                    raise ValueError(f"unexpected CSV header: {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ValueError(f"bad CSV row: {line!r}")
-            theta1_deg, *counts = (float(p) for p in parts)
-            rows.append(FringePoint(np.radians(theta1_deg), *counts))
+    for raw in _read_text(path).split("\n"):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if "=" in body:
+                key, _, val = (s.strip() for s in body.partition("="))
+                metadata[key] = val
+            continue
+        if not header_seen:
+            if line != CSV_HEADER:
+                raise ValueError(f"unexpected CSV header: {line!r}")
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise ValueError(f"bad CSV row: {line!r}")
+        theta1_deg, *counts = (float(p) for p in parts)
+        rows.append(FringePoint(np.radians(theta1_deg), *counts))
     if not header_seen:
         raise ValueError("CSV has no header row")
     theta2 = np.radians(float(metadata.get("theta2_deg", "45")))

@@ -9,8 +9,12 @@ ports, joint analyzer outcomes follow the exact four-outcome distribution of
 the emitted state, and threshold (non-number-resolving) detectors fire per
 transmitted photon with their efficiency, saturating when both photons reach
 the same port.  It gives the probabilities s1, s2 and s12 that one pair
-clicks D1, D2 or both.  Each detector also clicks with an independent
-background probability per window.  D1 and D2 in the same window count as a
+clicks D1, D2 or both, as contractions of the emitted state's correlation
+tensor (:func:`pulsepair.polarization.correlation_tensor`) with analyzer
+vectors; since either photon may reach either port, only the part of the
+tensor symmetric under photon exchange enters.  This module reads neither
+the density matrix nor an analyzer's axis.  Each detector also clicks with
+an independent background probability per window.  D1 and D2 in the same window count as a
 coincidence; D1 at window i with D2 at window i+1 feeds the delayed-window
 accidental estimate.
 
@@ -50,7 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .polarization import DensityMatrix, coincidence_probability
+from .polarization import NO_ANALYZER, DensityMatrix, analyzer_vector, correlation_tensor
+from .polarization import pass_probability
 from .source import SourceConfig, emitted_state
 
 FIRST_ORDER_LAMBDA_LIMIT = 0.1
@@ -141,15 +146,21 @@ class ExpectedRates:
                 raise ValueError(f"{name} out of [0, 1]: {val}")
 
 
-def _marginal_pass(rho: DensityMatrix, theta: float | np.ndarray) -> tuple:
-    """Pass probabilities of photons A and B alone at analyzer angles ``theta``.
+def _exchange_symmetric_tensor(rho: DensityMatrix) -> np.ndarray:
+    """(T + T^T) / 2 of the correlation tensor T of rho.
 
-    Each is the analyzer axis's quadratic form with a partial trace of rho.
+    The beamsplitter sends either photon to either port with equal chance,
+    so one pair's click probabilities read only the part of T that is
+    symmetric under exchange of the photons.
     """
-    axis = np.stack([np.cos(theta), np.sin(theta)], -1)
-    r = rho.matrix.reshape(2, 2, 2, 2)
-    reduced = (np.trace(r, axis1=1, axis2=3), np.trace(r, axis1=0, axis2=2))
-    return tuple(((axis @ red) * axis).sum(-1).real for red in reduced)
+    t = correlation_tensor(rho)
+    return 0.5 * (t + t.T)
+
+
+def _click_rate(s: np.ndarray, c: np.ndarray, eta: float) -> float | np.ndarray:
+    """One pair's click probability at a port with analyzer vector ``c`` and
+    efficiency ``eta``, given the exchange-symmetric tensor ``s``."""
+    return eta * pass_probability(s, NO_ANALYZER, c) - eta**2 * 0.25 * pass_probability(s, c, c)
 
 
 def pair_click_rate(
@@ -163,9 +174,7 @@ def pair_click_rate(
     eta^2/4 * P(theta, theta) double-transmission overlap.  An array of
     angles gives an array of rates.
     """
-    p_a, p_b = _marginal_pass(rho, theta)
-    both = coincidence_probability(rho, theta, theta)
-    return efficiency * 0.5 * (p_a + p_b) - efficiency**2 * 0.25 * both
+    return _click_rate(_exchange_symmetric_tensor(rho), analyzer_vector(theta), efficiency)
 
 
 def pair_click_probs(
@@ -179,13 +188,13 @@ def pair_click_probs(
     s1 and s2 are :func:`pair_click_rate` at each port.  Both detectors click
     only when the photons take different ports and both are transmitted and
     detected: s12 = eta1 eta2 (P(theta1, theta2) + P(theta2, theta1)) / 4.
-    Arrays of angles pass through; s12 takes their broadcast shape.
+    All three read one correlation tensor.  Arrays of angles pass through;
+    s12 takes their broadcast shape.
     """
-    s1 = pair_click_rate(rho, theta1, det.efficiency1)
-    s2 = pair_click_rate(rho, theta2, det.efficiency2)
-    p12 = coincidence_probability(rho, theta1, theta2)
-    p21 = coincidence_probability(rho, theta2, theta1)
-    return s1, s2, det.efficiency1 * det.efficiency2 * 0.25 * (p12 + p21)
+    s = _exchange_symmetric_tensor(rho)
+    c1, c2 = analyzer_vector(theta1), analyzer_vector(theta2)
+    s12 = det.efficiency1 * det.efficiency2 * 0.5 * pass_probability(s, c1, c2)
+    return _click_rate(s, c1, det.efficiency1), _click_rate(s, c2, det.efficiency2), s12
 
 
 def expected_rates(
@@ -603,12 +612,8 @@ def simulate_run(
     ws = _thread_workspace()
     results = [_run_chunk(tables, lo, min(lo + step, n), ws) for lo in range(0, n, step)]
 
-    singles1 = sum(r[0] for r in results)
-    singles2 = sum(r[1] for r in results)
-    coincidences = sum(r[2] for r in results)
-    accidentals = sum(r[3] for r in results)
+    singles1, singles2, coincidences, accidentals, *_ = map(sum, zip(*results))
     # delayed windows spanning a chunk boundary: D1 on the last pulse of one
     # chunk against D2 on the first pulse of the next
-    for prev, nxt in zip(results[:-1], results[1:]):
-        accidentals += int(prev[4] and nxt[5])
+    accidentals += sum(prev[4] and nxt[5] for prev, nxt in zip(results[:-1], results[1:]))
     return CountRecord(run.n_pulses, singles1, singles2, coincidences, accidentals)

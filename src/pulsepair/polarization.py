@@ -5,12 +5,16 @@ The pair lives in the four-dimensional space spanned by the ordered basis
 horizontal, looking along the propagation direction; with that convention a
 polarizer at angle theta projects onto cos(theta)|H> + sin(theta)|V>.
 
-All probabilities are operator traces, and :func:`coincidence_probability`
-and :func:`correlation` broadcast over arrays of analyzer angles.  Spectra
-come from LAPACK: the eigenvalue checks call ``np.linalg.eigvalsh`` and the
-concurrence takes its Wootters roots from :mod:`pulsepair.linalg`.  Every
-state object validates its own invariants at construction time and is
-immutable afterwards.
+A linear analyzer at theta is P(theta) = (c . sigma) / 2 with the analyzer
+vector c(theta) = (1, cos 2theta, sin 2theta) over sigma = (I, Z, X), so every
+linear-analyzer probability is a contraction of one real 3x3 matrix, the
+correlation tensor T_ab = Tr[rho sigma_a (x) sigma_b]: P(theta1, theta2) =
+c(theta1)^T T c(theta2) / 4.  Only this module knows the 4x4 layout and the
+analyzer vector; :func:`coincidence_probability` and :func:`correlation` read
+T and broadcast over arrays of analyzer angles.  Spectra come from LAPACK: the
+eigenvalue checks call ``np.linalg.eigvalsh`` and the concurrence takes its
+Wootters roots from :mod:`pulsepair.linalg`.  Every state object validates its
+own invariants at construction time and is immutable afterwards.
 """
 
 from __future__ import annotations
@@ -24,6 +28,13 @@ BASIS_LABELS = ("HH", "HV", "VH", "VV")
 CONSTRUCTION_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 BLOCKED_TOL = 1e-15
+
+# sigma = (I, Z, X) on one photon, and the 16 entries of sigma_a (x) sigma_b in
+# row 3a + b; each product is real and symmetric, so Tr[rho S] = sum Re(rho) S
+_IZX = np.array([np.eye(2), np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]]])
+_IZX_PAIRS = np.einsum("aij,bkl->abikjl", _IZX, _IZX).reshape(9, 16)
+# a port without an analyzer passes every photon: I = (c . sigma) / 2
+NO_ANALYZER = np.array([2.0, 0.0, 0.0])
 
 
 class PureState:
@@ -190,20 +201,41 @@ def apply_local(
     return DensityMatrix(out / p), min(max(p, 0.0), 1.0)
 
 
+def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
+    """Real 3x3 correlation tensor T_ab = Tr[rho sigma_a (x) sigma_b] over
+    sigma = (I, Z, X), with T_00 = Tr rho = 1.
+
+    It is the linear-analyzer block of the Horodecki correlation matrix
+    (R. & M. Horodecki, PRA 54, 1838 (1996)); Y never enters a linear
+    analyzer.  Rows belong to photon A, columns to photon B.
+    """
+    return (_IZX_PAIRS @ rho.matrix.real.ravel()).reshape(3, 3)
+
+
+def analyzer_vector(theta: float | np.ndarray) -> np.ndarray:
+    """c(theta) = (1, cos 2theta, sin 2theta) on a new last axis, so that the
+    linear analyzer at theta is P(theta) = (c . sigma) / 2."""
+    t = 2.0 * np.asarray(theta, dtype=float)[..., None]
+    return np.concatenate([np.ones_like(t), np.cos(t), np.sin(t)], -1)
+
+
+def pass_probability(t: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> float | np.ndarray:
+    """Tr[rho (A1 (x) A2)] = c1^T t c2 / 4 for A = (c . sigma) / 2 and the
+    correlation tensor ``t`` of rho; the leading axes of c1 and c2 broadcast."""
+    return 0.25 * (c1 @ t * c2).sum(-1)
+
+
 def coincidence_probability(
     rho: DensityMatrix, theta1: float | np.ndarray, theta2: float | np.ndarray
 ) -> float | np.ndarray:
     """Probability that both photons pass analyzers at (theta1, theta2).
 
-    Tr[rho (P(theta1) (x) P(theta2))] = w rho w with w = a1 (x) a2, clipped
+    Tr[rho (P(theta1) (x) P(theta2))] = c(theta1)^T T c(theta2) / 4, clipped
     into [0, 1] against round-off.  The angles broadcast against each other;
     scalar angles give a scalar.
     """
-    a1 = np.stack([np.cos(theta1), np.sin(theta1)], -1)
-    a2 = np.stack([np.cos(theta2), np.sin(theta2)], -1)
-    w = a1[..., :, None] * a2[..., None, :]
-    w = w.reshape(w.shape[:-2] + (4,))
-    return np.clip(((w @ rho.matrix) * w).sum(-1).real, 0.0, 1.0)
+    p = pass_probability(correlation_tensor(rho), analyzer_vector(theta1), analyzer_vector(theta2))
+    return np.clip(p, 0.0, 1.0)
 
 
 def correlation(
@@ -211,17 +243,13 @@ def correlation(
 ) -> float | np.ndarray:
     """Polarization correlation E(theta1, theta2) in [-1, 1].
 
-    Built from the four joint pass/block probabilities of the two analyzers,
-    normalized by their sum (which is 1 for a unit-trace state).  The angles
-    broadcast against each other; scalar angles give a scalar.
+    E is the expectation of the product of the two analyzers' +-1 outcomes,
+    pass minus block: E = c'(theta1)^T T c'(theta2) with
+    c' = (0, cos 2theta, sin 2theta), so the identity row and column of T drop
+    out.  The angles broadcast against each other; scalar angles give a scalar.
     """
-    # an analyzer blocks at theta what it passes at theta + pi/2; the four
-    # pass/block settings go on a new last axis
-    h = 0.5 * np.pi
-    t1 = np.expand_dims(theta1, -1) + np.array([0.0, h, 0.0, h])
-    t2 = np.expand_dims(theta2, -1) + np.array([0.0, h, h, 0.0])
-    pp, bb, pb, bp = np.moveaxis(coincidence_probability(rho, t1, t2), -1, 0)
-    return (pp + bb - pb - bp) / (pp + bb + pb + bp)
+    c1, c2 = analyzer_vector(theta1)[..., 1:], analyzer_vector(theta2)[..., 1:]
+    return (c1 @ correlation_tensor(rho)[1:, 1:] * c2).sum(-1)
 
 
 def concurrence(rho: DensityMatrix) -> float:

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here deliberately avoids the package's own computational paths:
-probabilities come from explicit Kronecker products and LAPACK traces,
-concurrence from the non-Hermitian eigenvalue recipe, and detector rates from
-exhaustive enumeration of routing/outcome/detection combinations.
+probabilities and correlation tensors come from explicit Kronecker products
+and LAPACK traces, concurrence from the singular values of sqrt(rho) sqrt(rho~),
+and detector rates from exhaustive enumeration of routing/outcome/detection
+combinations.
 """
 
 import itertools
@@ -11,6 +12,8 @@ import itertools
 import numpy as np
 
 SY2 = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+# (I, Z, X): the one-photon operators a linear analyzer is built from
+PAULI_IZX = (np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def projector(theta):
@@ -30,17 +33,30 @@ def correlation_oracle(rho4, t1, t2):
     return (p(t1, t2) + p(t1 + h, t2 + h) - p(t1, t2 + h) - p(t1 + h, t2)) / tot
 
 
+def correlation_tensor_oracle(rho4):
+    """T_ab = Tr[rho (sigma_a x sigma_b)] over (I, Z, X), one trace per entry."""
+    return np.array(
+        [[np.trace(rho4 @ np.kron(sa, sb)).real for sb in PAULI_IZX] for sa in PAULI_IZX]
+    )
+
+
 def concurrence_oracle(rho4):
-    """Wootters recipe via eigenvalues of the non-Hermitian product rho*rho~."""
-    rho_tilde = SY2 @ rho4.conj() @ SY2
-    evals = np.linalg.eigvals(rho4 @ rho_tilde)
-    lam = np.sort(np.sqrt(np.abs(evals.real)))[::-1]
+    """Wootters recipe via the singular values of sqrt(rho) sqrt(rho~).
+
+    sqrt(rho) comes from ``eigh`` with eigenvalues at or below 1e-14 set to
+    0, and sqrt(rho~) = (sy x sy) sqrt(rho)* (sy x sy).  Unlike square roots
+    of the round-off eigenvalues of rho rho~, this keeps full precision on
+    rank-deficient states.
+    """
+    w, v = np.linalg.eigh(rho4)
+    root = (v * np.sqrt(np.where(w > 1e-14, w, 0.0))) @ v.conj().T
+    lam = np.linalg.svd(root @ SY2 @ root.conj() @ SY2, compute_uv=False)
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
-def random_density_matrix(rng):
-    """Random full-rank two-qubit state (Wishart construction)."""
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def random_density_matrix(rng, rank=4):
+    """Random two-qubit state of the given rank (Wishart construction)."""
+    a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 

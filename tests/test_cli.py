@@ -394,22 +394,33 @@ def test_boundary_env_values_exit_cleanly(values):
         ["fit", "NAN_CSV"],
         ["fit", "INF_CSV"],
         ["fit", "HUGE_CSV"],
+        ["fit", "LATIN1_CSV"],
+        ["state", "--config", "LATIN1_CFG"],
     ],
 )
 def test_bad_geometry_angles_and_csv_values_exit_one(tmp_path, argv):
-    for name, bad_row in (
-        ("NAN_CSV", "0,nan,10,10,1"),
-        ("INF_CSV", "0,inf,10,10,1"),
-        ("HUGE_CSV", "0,1e308,1e308,1e308,0"),
-    ):
-        path = tmp_path / f"{name}.csv"
-        rows = "\n".join(f"{t},100,10,10,1" for t in range(10, 360, 10))
-        path.write_text(f"{CSV_HEADER}\n{bad_row}\n{rows}\n")
+    rows = "\n".join(f"{t},100,10,10,1" for t in range(10, 360, 10))
+    files = {
+        name: f"{CSV_HEADER}\n{bad_row}\n{rows}\n".encode()
+        for name, bad_row in (
+            ("NAN_CSV", "0,nan,10,10,1"),
+            ("INF_CSV", "0,inf,10,10,1"),
+            ("HUGE_CSV", "0,1e308,1e308,1e308,0"),
+        )
+    }
+    # undecodable files: a Latin-1 comment in a scan CSV and in a config file
+    files["LATIN1_CSV"] = f"# operator: J\xfcrgen\n{CSV_HEADER}\n{rows}\n".encode("latin-1")
+    files["LATIN1_CFG"] = "# J\xfcrgen's source\ngain_up = 1.0\n".encode("latin-1")
+    for name, data in files.items():
+        path = tmp_path / name.lower().replace("_", ".")
+        path.write_bytes(data)
         argv = [str(path) if a == name else a for a in argv]
     code, out, err = _run(argv)
     assert code == 1, err
     assert out == ""
     assert err and "Traceback" not in err
+    if "latin1" in argv[-1]:
+        assert len(err.splitlines()) == 1 and f"{argv[-1]} is not UTF-8 text" in err, err
 
 
 def test_missing_config_file_exits_two(tmp_path):

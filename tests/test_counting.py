@@ -1,5 +1,6 @@
 """Analytic rates against the enumeration oracle; Monte Carlo statistics."""
 
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -510,3 +511,76 @@ def test_warm_kernel_allocates_no_chunk_sized_array(setting):
     finally:
         tracemalloc.stop()
     assert peak < 128 * 1024, peak
+
+
+# --- pinned records ----------------------------------------------------------------
+
+# Captured at commit 555c339: the SHA-256 over the records of the 136 runs of
+# _digest_runs, one line each in _record_line's format, and the first 8 hex
+# digits of each line's own SHA-256, which locate the first record that
+# changed.  A change that alters counts on purpose recaptures both.
+_RECORDS_SHA256 = "a193f71f19183682b9a0ebcfd2650bbf0e4ea8832e8ee63a3c5859735c132027"
+_RECORD_TAGS = (
+    "eefb55b277f565d2f1e6a28ad0e9e4e0234d572325ae940e80cef918b83e8772"
+    "1153b94c0553ffc8e68ca4aa8c3580df8e70c07caf0ae84fa748997ad62604cc"
+    "a0195c6d9d5f0fd7a19ddbc52f583aca395ec4c0339642db1133ccb6d91bca98"
+    "a614e1254ad0a53ff63e3b0c192ed74d8a5690cb4e7e20e29bfd8e2e6db78a73"
+    "b25f59a172f0735dcbe8f51a98c2ab96c83ed7ccddea9bccd39ca0176161d140"
+    "6ff5038002e09aafa7f017c25789a8f6f44c27b70722c8ba131ada2d1fac155a"
+    "199c8869faebbc572ad769c94d72e738efda95378049942d8962881ec300fa97"
+    "9394e823338b09da70581fd2b112e1cf9dc00f526fa3334b15cf83abf8b738de"
+    "ac6996d73a032deb32d4ed6208efda7c4880e181aedb00f57c5c10f9e6eb7c18"
+    "bd0a5cf85d54ef594763b908a8b3381b0da44e18aa4471fc4a7d3edd64c2d97d"
+    "ec955aec21d6cd1fc6ebab5b61703db8935a10c8cb79fda840f5699060f730ce"
+    "1704997184a7c09cadac52b9ecd0b7811442840b99ed5f6ba053befa01b0aa7a"
+    "bb5ecb997bc022d5a52f0afc19e1024589aaf56f083b447099e0e5911b22390b"
+    "455ce4ee425ff845b457e0534d438695203e576458b4f5e1ee81146b1108f8b3"
+    "a004291cde75e480b6817e60fae0a4ec3111d26e1107986253af4166fa95f2bc"
+    "72460449541db6299caccc7ca36893fd4753de336189ed865494fc34edef0ae5"
+    "bf617acbd96c2f87707eacbe9d2ee49db3d372ff9732370538d026d427070295"
+)
+
+
+def _digest_runs():
+    """(label, source, theta1, theta2, detector, run) of 136 runs: the fig3
+    scan at 1 M pulses, a lambda = 2 scan at 200 k pulses, and 64 random
+    sources, detectors and angles at 100 k pulses."""
+    fig3 = fig3_experiment(n_pulses=1_000_000)
+    theta1s = np.radians(fig3.theta1_grid_deg())
+    runs = [(f"fig3 {i}", fig3.source, t1, 45 * DEG, fig3.detector,
+             RunConfig(1_000_000, seed=rng.derive_seed(715_517, i)))
+            for i, t1 in enumerate(theta1s)]
+    runs += [(f"dense {i}", _DENSE[0], t1, 45 * DEG, _DENSE[1],
+              RunConfig(200_000, seed=rng.derive_seed(12345, i)))
+             for i, t1 in enumerate(theta1s)]
+    draw = np.random.default_rng(7)
+    for i in range(64):
+        src = SourceConfig(
+            pump_angle=draw.uniform(0.0, np.pi / 2),
+            gain_down=draw.uniform(0.2, 1.5),
+            relative_phase=draw.uniform(0.0, 2 * np.pi),
+            overlap_mu=draw.uniform(0.0, 1.0),
+            mean_pairs_per_pulse=10.0 ** draw.uniform(-3.0, 0.5),
+        )
+        det = DetectorConfig(*draw.uniform(0.1, 1.0, 2), *draw.uniform(0.0, 0.01, 2))
+        t1, t2 = draw.uniform(0.0, 2 * np.pi, 2)
+        runs.append((f"random {i}", src, t1, t2, det,
+                     RunConfig(100_000, seed=int(draw.integers(0, 2**63)))))
+    return runs
+
+
+def _record_line(label, rec):
+    return (f"{label}: {rec.n_pulses} {rec.singles1} {rec.singles2} {rec.coincidences} "
+            f"{rec.accidentals}\n")
+
+
+def test_count_records_match_pinned_digest():
+    """Every record of a fixed set of runs equals the one pinned here: the
+    rate model and the kernel may change how they compute, not what a seed
+    counts."""
+    lines = [_record_line(label, simulate_run(src, t1, t2, det, run))
+             for label, src, t1, t2, det, run in _digest_runs()]
+    tags = [hashlib.sha256(line.encode()).hexdigest()[:8] for line in lines]
+    changed = [line for i, line in enumerate(lines) if tags[i] != _RECORD_TAGS[8 * i : 8 * i + 8]]
+    assert not changed, f"{len(changed)} records changed, first: {changed[0].strip()}"
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == _RECORDS_SHA256

@@ -5,6 +5,7 @@ import pytest
 
 from pulsepair import (
     DensityMatrix,
+    DetectorConfig,
     OneQubitOperator,
     PureState,
     TwoQubitOperator,
@@ -13,8 +14,10 @@ from pulsepair import (
     coincidence_probability,
     concurrence,
     correlation,
+    correlation_tensor,
     half_waveplate,
     identity,
+    pair_click_probs,
     phase_shifter,
     polarizer,
     pure_to_density,
@@ -23,6 +26,7 @@ from pulsepair import (
 from oracles import (
     concurrence_oracle,
     correlation_oracle,
+    correlation_tensor_oracle,
     random_density_matrix,
     random_pure_density,
     trace_prob,
@@ -249,12 +253,34 @@ def test_correlation_examples_and_oracle():
         dm = DensityMatrix(random_density_matrix(rng))
         t1, t2 = rng.uniform(0, 2 * np.pi, 2)
         assert abs(correlation(dm, t1, t2) - correlation_oracle(dm.matrix, t1, t2)) < 1e-12
-    # arrays broadcast theta1 against theta2 and agree with scalar calls
+    # arrays broadcast theta1 against theta2 and agree exactly with scalar calls
     t1s, t2s = rng.uniform(0, 2 * np.pi, (3, 1)), rng.uniform(0, 2 * np.pi, 4)
-    grid = correlation(dm, t1s, t2s)
-    assert grid.shape == (3, 4)
-    for (i, j), e in np.ndenumerate(grid):
-        assert e == correlation(dm, t1s[i, 0], t2s[j]), (i, j)
+    for f in (correlation, coincidence_probability):
+        grid = f(dm, t1s, t2s)
+        assert grid.shape == (3, 4)
+        for (i, j), e in np.ndenumerate(grid):
+            assert e == f(dm, t1s[i, 0], t2s[j]), (f.__name__, i, j)
+    det = DetectorConfig(0.55, 0.7)
+    s1, s2, s12 = pair_click_probs(dm, t1s, t2s, det)
+    assert (s1.shape, s2.shape, s12.shape) == ((3, 1), (4,), (3, 4))
+    for (i, j), e in np.ndenumerate(s12):
+        assert pair_click_probs(dm, t1s[i, 0], t2s[j], det) == (s1[i, 0], s2[j], e), (i, j)
+
+
+def test_correlation_tensor_matches_trace_oracle():
+    rng = np.random.default_rng(61)
+    for rank in (1, 2, 3, 4):
+        for _ in range(50):
+            m = random_density_matrix(rng, rank)
+            t = correlation_tensor(DensityMatrix(m))
+            assert t.shape == (3, 3) and t.dtype == np.float64
+            np.testing.assert_allclose(t, correlation_tensor_oracle(m), atol=1e-12, rtol=0)
+    # |Phi+> has T = diag(1, 1, 1); |HH> has T = 1 on its (I, Z) block
+    np.testing.assert_allclose(
+        correlation_tensor(pure_to_density(bell_state("phi_plus"))), np.eye(3), atol=1e-15
+    )
+    hh = DensityMatrix(np.diag([1.0, 0, 0, 0]).astype(complex))
+    np.testing.assert_array_equal(correlation_tensor(hh), [[1, 1, 0], [1, 1, 0], [0, 0, 0]])
 
 
 # --- entanglement measures -----------------------------------------------------
@@ -271,20 +297,19 @@ def test_concurrence_unbalanced_superposition():
     psi = PureState([1.0, 0, 0, eps])
     expected = 2 * eps / (1 + eps * eps)  # = 0.878367...
     assert abs(concurrence(pure_to_density(psi)) - expected) < 1e-10
-    # the eigenvalue oracle only reaches ~1e-8 on rank-deficient states
-    assert abs(expected - concurrence_oracle(pure_to_density(psi).matrix)) < 1e-8
+    assert abs(expected - concurrence_oracle(pure_to_density(psi).matrix)) < 1e-10
 
 
 def test_concurrence_matches_eigenvalue_oracle_on_mixed_states():
     rng = np.random.default_rng(41)
-    for _ in range(60):
-        m = random_density_matrix(rng)
-        assert abs(concurrence(DensityMatrix(m)) - concurrence_oracle(m)) < 1e-10
+    for rank in (1, 2, 3, 4):
+        for _ in range(60):
+            m = random_density_matrix(rng, rank)
+            assert abs(concurrence(DensityMatrix(m)) - concurrence_oracle(m)) < 1e-10, rank
 
 
 def test_concurrence_matches_closed_form_on_pure_states():
-    # exact pure-state value |psi^T (sy x sy) psi|; the eigenvalue oracle
-    # loses half its precision on rank-deficient states, the closed form not
+    # exact pure-state value |psi^T (sy x sy) psi|, with no spectral step
     from oracles import SY2
 
     rng = np.random.default_rng(43)
@@ -305,12 +330,12 @@ def test_rank_two_state_with_degenerate_spectrum():
     m = u @ np.diag([0.5, 0.5, 0.0, 0.0]) @ u.conj().T
     dm = DensityMatrix(m)
     np.testing.assert_allclose(dm.eigenvalues(), [0, 0, 0.5, 0.5], atol=1e-13, rtol=0)
-    # rho rho~ has rank 2, so the oracle's square roots of its two zero
-    # eigenvalues (about 1e-17 after round-off) are off by up to 1e-8; the
-    # exact concurrence keeps only the top two roots of the oracle's recipe
+    # rho rho~ has rank 2, so square roots of its two zero eigenvalues (about
+    # 1e-17 after round-off) are off by up to 1e-8; the exact concurrence
+    # keeps only the top two roots of that eigenvalue recipe
     e = np.sort(np.linalg.eigvals(m @ SY2 @ m.conj() @ SY2).real)[::-1]
     assert abs(concurrence(dm) - (np.sqrt(e[0]) - np.sqrt(e[1]))) < 1e-10
-    assert abs(concurrence(dm) - concurrence_oracle(m)) < 1e-7
+    assert abs(concurrence(dm) - concurrence_oracle(m)) < 1e-10
 
 
 def test_purity_examples():

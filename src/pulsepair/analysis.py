@@ -14,16 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import (
-    MAX_N_PULSES,
-    CountRecord,
-    DetectorConfig,
-    RunConfig,
-    expected_rates,
-    simulate_run,
-)
+from .counting import MAX_N_PULSES, DetectorConfig, RunConfig, expected_rates, simulate_scan
 from .polarization import DensityMatrix, correlation
-from .rng import derive_seed
 from .source import SourceConfig, emitted_state
 
 MODE_ANALYTIC = "analytic"
@@ -117,10 +109,11 @@ def polarization_scan(
 
     Analytic mode fills expected counts (per-pulse rates times the pulse
     count) from one :func:`expected_rates` call over all angles; monte-carlo
-    mode runs one seeded simulation per angle, with per-angle child seeds
-    derived from ``run.seed``.  ``theta1_sign=-1`` evaluates physics at the
-    negated analyzer-1 angle while recording the dial reading, which
-    reproduces the cos^2(t1+t2) form of the fringe law for a (HH+VV) source.
+    mode takes one seeded run per angle from one :func:`simulate_scan` call,
+    which derives each angle's child seed from ``run.seed``.
+    ``theta1_sign=-1`` evaluates physics at the negated analyzer-1 angle
+    while recording the dial reading, which reproduces the cos^2(t1+t2) form
+    of the fringe law for a (HH+VV) source.
     """
     theta1_list = list(theta1_list)
     if not theta1_list:
@@ -130,26 +123,18 @@ def polarization_scan(
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
+    t1s = theta1_sign * np.asarray(theta1_list, dtype=float)
+    # (coincidences, singles1, singles2, accidentals) per angle
     if mode == MODE_ANALYTIC:
-        t1s = theta1_sign * np.asarray(theta1_list, dtype=float)
         r = expected_rates(emitted_state(cfg), t1s, theta2, cfg.mean_pairs_per_pulse, det)
-        rates = np.array([r.p_coinc, r.p_single1, r.p_single2, r.p_accidental])
-        rows = (rates * float(run.n_pulses)).T.tolist()
-        points = [FringePoint(t1, *row) for t1, row in zip(theta1_list, rows)]
+        counts = np.array([r.p_coinc, r.p_single1, r.p_single2, r.p_accidental]).T
+        counts *= float(run.n_pulses)
     else:
-        points = []
-        for i, t1 in enumerate(theta1_list):
-            child = RunConfig(run.n_pulses, derive_seed(run.seed, i), run.workers)
-            rec: CountRecord = simulate_run(cfg, theta1_sign * t1, theta2, det, child)
-            points.append(
-                FringePoint(
-                    theta1=t1,
-                    coincidences=float(rec.coincidences),
-                    singles1=float(rec.singles1),
-                    singles2=float(rec.singles2),
-                    accidentals=float(rec.accidentals),
-                )
-            )
+        recs = simulate_scan(cfg, t1s, theta2, det, run)
+        counts = np.array(
+            [(r.coincidences, r.singles1, r.singles2, r.accidentals) for r in recs], dtype=float
+        )
+    points = [FringePoint(t1, *row) for t1, row in zip(theta1_list, counts.tolist())]
     return FringeScan(theta2=theta2, points=tuple(points), mode=mode)
 
 

@@ -36,6 +36,12 @@ search.  Chunks of whole blocks run one after another in a single thread.  A
 run is therefore bit-reproducible regardless of chunking or worker count, and
 its cost grows with the number of event pulses, not of pulses or pairs.
 
+A scan (:func:`simulate_scan`) is one run per analyzer-1 angle, point i
+seeded by ``rng.derive_seed(seed, i)``.  The emitted state and the click
+probabilities of every angle are computed once per scan, and each point
+then builds its own tables and runs the same chunk loop;
+:func:`simulate_run` is the one-angle case, with the run's own seed.
+
 Every chunk-sized intermediate is written with ``out=`` into flat buffers of
 one workspace per thread, which every chunk of a run and every later run on
 that thread reuse, so a warm run allocates no chunk-sized array and faults in
@@ -46,7 +52,6 @@ explicit ``chunk_size`` asks for, is a new array that the workspace drops.
 
 from __future__ import annotations
 
-import math
 import threading
 import warnings
 from dataclasses import dataclass
@@ -260,9 +265,6 @@ _COMPACT_ITEMS = 1 << 12
 # The cell guide table has one entry per value of a draw's top bits.
 _GUIDE_BITS = 12
 _GUIDE_SHIFT = np.uint64(64 - _GUIDE_BITS)
-# lowest and highest word of each guide bucket
-_BUCKET_LOWS = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _GUIDE_SHIFT
-_BUCKET_HIGHS = _BUCKET_LOWS | np.uint64(rng.MASK64 >> _GUIDE_BITS)
 
 
 def _event_cells(
@@ -326,17 +328,19 @@ def _guide_table(cell_cdf: np.ndarray) -> np.ndarray:
     """Guide entries for the cell thresholds.
 
     Bucket j holds the draws whose top ``_GUIDE_BITS`` bits are j.  Its guide
-    entry counts the thresholds at or below its lowest word, the first
-    candidate for the search count of any draw in it.  A bucket with at most
-    one threshold above that word settles every draw in one step; the others
-    are crowded, and their entry is -1.  Entries are int32: the lookup is
-    random reads of this table, and at half the cache footprint of int64
-    entries a run at lambda = 2 took 8-18 % less time on a 2-vCPU Xeon.
+    entry counts the thresholds in lower buckets, all below any draw in it:
+    the first candidate for the search count of such a draw.  A bucket with
+    at most one threshold settles every draw in one step; the others are
+    crowded, and their entry is -1.  Entries are int32: the lookup is random
+    reads of this table, and at half the cache footprint of int64 entries a
+    run at lambda = 2 took 8-18 % less time on a 2-vCPU Xeon.
     """
-    guide = np.searchsorted(cell_cdf, _BUCKET_LOWS, side="right")
-    inside = np.searchsorted(cell_cdf, _BUCKET_HIGHS, side="right")
-    inside -= guide
-    guide[inside >= 2] = -1
+    # buckets are below 2**12: their int64 view counts without conversion
+    per = np.bincount((cell_cdf >> _GUIDE_SHIFT).view(np.intp), minlength=1 << _GUIDE_BITS)
+    # the exclusive sum in place on intp: a mixed-dtype one takes a cast buffer
+    guide = np.cumsum(per)
+    guide -= per
+    guide[per >= 2] = -1
     return guide.astype(np.int32)
 
 
@@ -366,18 +370,18 @@ def _cell_search(tables: _PulseTables, u: np.ndarray, ws: _Workspace) -> np.ndar
     return found
 
 
-def _build_tables(
-    rho: DensityMatrix, theta1: float, theta2: float, det: DetectorConfig, run: RunConfig, lam: float
-) -> _PulseTables:
+def _build_tables(probs, det: DetectorConfig, seed: int, lam: float) -> _PulseTables:
+    """Tables of one run with seed ``seed``, from one pair's click
+    probabilities ``probs`` = (s1, s2, s12) of :func:`pair_click_probs`."""
     b1, b2 = det.background_prob1, det.background_prob2
     log_q = float(np.log1p(-b1) + np.log1p(-b2) - lam)
     if log_q > -_GAP_RESOLUTION:
         log_q, cell_cdf = 0.0, np.empty(0, np.uint64)  # no event pulses
     else:
-        cell_cdf = _event_cells(lam, b1, b2, *pair_click_probs(rho, theta1, theta2, det))
+        cell_cdf = _event_cells(lam, b1, b2, *probs)
     return _PulseTables(
-        key=rng.stream_key(run.seed),
-        block_key=rng.block_stream_key(run.seed),
+        key=rng.stream_key(seed),
+        block_key=rng.block_stream_key(seed),
         log_q=log_q,
         gap_words=_gap_words(-np.expm1(log_q)),
         cell_cdf=cell_cdf,
@@ -573,6 +577,45 @@ def _chunk_blocks(p_event: float, chunk_size: int | None) -> int:
     return -(-chunk_size >> _BLOCK_BITS)
 
 
+def _count_run(
+    tables: _PulseTables, n: int, chunk_size: int | None, ws: _Workspace
+) -> CountRecord:
+    """Tallies of one run of ``n`` pulses, chunk by chunk."""
+    step = _chunk_blocks(-np.expm1(tables.log_q), chunk_size) * _BLOCK
+    results = [_run_chunk(tables, lo, min(lo + step, n), ws) for lo in range(0, n, step)]
+    singles1, singles2, coincidences, accidentals, *_ = map(sum, zip(*results))
+    # delayed windows spanning a chunk boundary: D1 on the last pulse of one
+    # chunk against D2 on the first pulse of the next
+    accidentals += sum(prev[4] and nxt[5] for prev, nxt in zip(results[:-1], results[1:]))
+    return CountRecord(n, singles1, singles2, coincidences, accidentals)
+
+
+def _simulate(
+    cfg: SourceConfig,
+    theta1s,
+    theta2: float,
+    det: DetectorConfig,
+    run: RunConfig,
+    seed_of,
+    chunk_size: int | None = None,
+) -> list[CountRecord]:
+    """One record per analyzer-1 angle (a scalar is one angle), run i seeded
+    by ``seed_of(i)``.  Every angle is checked, and the state and all click
+    probabilities come from one call each, before the first run; each run's
+    tables are dropped before the next run's are built."""
+    for name, theta in (("theta1", theta1s), ("theta2", theta2)):
+        bad = np.asarray(theta, dtype=float)[~np.isfinite(theta)]
+        if bad.size:
+            raise ValueError(f"analyzer angle {name} must be finite, got {bad[0]}")
+    probs = np.broadcast_arrays(*pair_click_probs(emitted_state(cfg), theta1s, theta2, det))
+    rows = np.stack(probs, -1).reshape(-1, 3).tolist()
+    lam, ws = cfg.mean_pairs_per_pulse, _thread_workspace()
+    return [
+        _count_run(_build_tables(p, det, seed_of(i), lam), run.n_pulses, chunk_size, ws)
+        for i, p in enumerate(rows)
+    ]
+
+
 def simulate_run(
     cfg: SourceConfig,
     theta1: float,
@@ -597,23 +640,21 @@ def simulate_run(
     photon by photon; their statistics do not.  Chunks are whole blocks
     (``chunk_size`` is rounded up to one); by default a chunk holds about
     16 k expected event pulses.  Non-finite analyzer angles raise
-    ``ValueError``.
+    ``ValueError``.  This is the one-angle case of :func:`simulate_scan`.
     """
-    for name, theta in (("theta1", theta1), ("theta2", theta2)):
-        if not math.isfinite(theta):
-            raise ValueError(f"analyzer angle {name} must be finite, got {theta}")
-    rho = emitted_state(cfg)
-    lam = cfg.mean_pairs_per_pulse
-    tables = _build_tables(rho, theta1, theta2, det, run, lam)
+    return _simulate(cfg, theta1, theta2, det, run, lambda i: run.seed, chunk_size)[0]
 
-    chunk_blocks = _chunk_blocks(-np.expm1(tables.log_q), chunk_size)
-    step = chunk_blocks * _BLOCK
-    n = run.n_pulses
-    ws = _thread_workspace()
-    results = [_run_chunk(tables, lo, min(lo + step, n), ws) for lo in range(0, n, step)]
 
-    singles1, singles2, coincidences, accidentals, *_ = map(sum, zip(*results))
-    # delayed windows spanning a chunk boundary: D1 on the last pulse of one
-    # chunk against D2 on the first pulse of the next
-    accidentals += sum(prev[4] and nxt[5] for prev, nxt in zip(results[:-1], results[1:]))
-    return CountRecord(run.n_pulses, singles1, singles2, coincidences, accidentals)
+def simulate_scan(
+    cfg: SourceConfig, theta1s, theta2: float, det: DetectorConfig, run: RunConfig
+) -> list[CountRecord]:
+    """One :func:`simulate_run` per analyzer-1 angle in ``theta1s``, analyzer 2 at ``theta2``.
+
+    Point i is run with seed ``derive_seed(run.seed, i)`` and equals
+    ``simulate_run(cfg, theta1s[i], theta2, det, RunConfig(run.n_pulses,
+    derive_seed(run.seed, i)))``.  What no angle changes, the emitted state
+    and its correlation tensor, is computed once per scan, and all angles'
+    click probabilities come from one array call.  A non-finite angle
+    anywhere raises ``ValueError`` before any point runs.
+    """
+    return _simulate(cfg, theta1s, theta2, det, run, lambda i: rng.derive_seed(run.seed, i))

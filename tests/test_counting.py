@@ -23,6 +23,7 @@ from pulsepair import (
     pair_click_probs,
     pure_to_density,
     simulate_run,
+    simulate_scan,
     subtract_accidentals,
 )
 from pulsepair.cli import fig3_experiment
@@ -175,12 +176,17 @@ def test_simulate_run_deterministic_across_workers_and_chunks():
     assert odd_chunks == records[0]
 
 
-@pytest.mark.parametrize("theta1, theta2", [(float("nan"), 0.3), (0.3, float("inf")),
-                                            (-float("inf"), 0.3), (0.3, float("nan"))])
-def test_simulate_run_rejects_non_finite_angles(theta1, theta2):
-    name = "theta1" if not np.isfinite(theta1) else "theta2"
+@pytest.mark.parametrize("theta1, theta2", [
+    (float("nan"), 0.3), (0.3, float("inf")), (-float("inf"), 0.3), (0.3, float("nan")),
+    pytest.param([0.1 * i for i in range(35)] + [float("nan")], 0.3, id="scan-last-nan"),
+])
+def test_simulate_run_rejects_non_finite_angles(theta1, theta2, monkeypatch):
+    """A non-finite angle raises before any point runs; a list of angles is a scan."""
+    name = "theta1" if not np.isfinite(theta1).all() else "theta2"
+    monkeypatch.setattr(counting, "_build_tables", None)
+    simulate = simulate_scan if np.ndim(theta1) else simulate_run
     with pytest.raises(ValueError, match=name):
-        simulate_run(SourceConfig(), theta1, theta2, DetectorConfig(), RunConfig(1000))
+        simulate(SourceConfig(), theta1, theta2, DetectorConfig(), RunConfig(1000))
 
 
 def test_simulate_run_different_seeds_differ():
@@ -300,6 +306,22 @@ def test_multi_pair_monte_carlo_matches_exact_rates(lam):
         assert max(abs(p) for p in pulls) <= 5.0, (lam, d1, d2, pulls)
 
 
+@pytest.mark.parametrize("scenario", ["fig3", "dense"])
+def test_simulate_scan_equals_per_point_runs(scenario):
+    """Point i of a scan is the run seeded derive_seed(seed, i): the fig3 scan
+    at 1 M pulses and the lambda = 2 scan at 200 k pulses."""
+    fig3 = fig3_experiment(n_pulses=1_000_000)
+    src, det, run = fig3.source, fig3.detector, fig3.run
+    if scenario == "dense":
+        src, det = _DENSE
+        run = RunConfig(200_000, seed=12345)
+    theta1s = np.radians(fig3.theta1_grid_deg())
+    seeds = [rng.derive_seed(run.seed, i) for i in range(theta1s.size)]
+    expected = [simulate_run(src, t1, 45 * DEG, det, RunConfig(run.n_pulses, seed))
+                for t1, seed in zip(theta1s, seeds)]
+    assert simulate_scan(src, theta1s, 45 * DEG, det, run) == expected
+
+
 # --- event sampler ----------------------------------------------------------------
 
 @pytest.mark.parametrize("words_per_pass", [1, 3, counting._BLOCK + 1])
@@ -321,7 +343,8 @@ def test_event_pulse_count_is_binomial(lam, b1, b2):
     n = 1_000_000
     cfg = SourceConfig(mean_pairs_per_pulse=lam)
     det = DetectorConfig(0.6, 0.6, b1, b2)
-    tables = counting._build_tables(emitted_state(cfg), 0.0, 0.0, det, RunConfig(n, seed=77), lam)
+    probs = pair_click_probs(emitted_state(cfg), 0.0, 0.0, det)
+    tables = counting._build_tables(probs, det, 77, lam)
     events = counting._event_pulses(tables, 0, n, counting._Workspace())
     assert events.size == 0 or (events[0] >= 0 and events[-1] < n)
     assert np.all(np.diff(events) > 0)
@@ -365,7 +388,7 @@ def test_event_cells_decode_to_exact_rates(lam, b1, b2):
     rho = emitted_state(cfg)
     det = DetectorConfig(0.5, 0.7, b1, b2)
     for t1, t2 in [(0.0, 0.0), (0.0, 45 * DEG), (22.5 * DEG, 45 * DEG), (135 * DEG, 60 * DEG)]:
-        tables = counting._build_tables(rho, t1, t2, det, RunConfig(10), lam)
+        tables = counting._build_tables(pair_click_probs(rho, t1, t2, det), det, 12345, lam)
         p1, p2, pc, _ = enumerated_exact_rates(rho.matrix, t1, t2, lam, det)
         got = _decoded_rates(tables)
         assert max(abs(g - w) for g, w in zip(got, (p1, p2, pc))) < 1e-12, (t1, t2, got)
@@ -375,7 +398,8 @@ def test_no_events_without_pairs_or_background():
     cfg = SourceConfig(mean_pairs_per_pulse=0.0)
     det = DetectorConfig()
     n = 3 * counting._BLOCK + 123
-    tables = counting._build_tables(emitted_state(cfg), 0.3, 0.9, det, RunConfig(n), 0.0)
+    probs = pair_click_probs(emitted_state(cfg), 0.3, 0.9, det)
+    tables = counting._build_tables(probs, det, 12345, 0.0)
     assert counting._event_pulses(tables, 0, n, counting._Workspace()).size == 0
     for chunk in (None, 1, 777):
         rec = simulate_run(cfg, 0.3, 0.9, det, RunConfig(n, seed=3, workers=2), chunk_size=chunk)
@@ -392,7 +416,7 @@ def test_guide_lookup_equals_searchsorted(lam, b1, b2):
     neighbours, and MASK64."""
     rho = emitted_state(SourceConfig(gain_down=0.7, overlap_mu=0.8))
     det = DetectorConfig(0.6, 0.6, b1, b2)
-    tables = counting._build_tables(rho, 0.3, 0.9, det, RunConfig(10), lam)
+    tables = counting._build_tables(pair_click_probs(rho, 0.3, 0.9, det), det, 12345, lam)
     cdf = tables.cell_cdf
     random_words = np.random.default_rng(10).integers(0, 1 << 64, 100_000, np.uint64,
                                                       endpoint=False)
@@ -446,7 +470,8 @@ def test_default_chunks_fit_the_cached_workspace():
         words = counting._chunk_blocks(p_event, None) * counting._gap_words(p_event)
         assert words <= counting._CACHE_WORDS, p_event
     rho = emitted_state(_DENSE[0])
-    tables = counting._build_tables(rho, 0.0, 0.0, _DENSE[1], RunConfig(10), 2.0)
+    probs = pair_click_probs(rho, 0.0, 0.0, _DENSE[1])
+    tables = counting._build_tables(probs, _DENSE[1], 12345, 2.0)
     p_event = -np.expm1(tables.log_q)
     assert counting._chunk_blocks(p_event, 1 << 18) * tables.gap_words > counting._CACHE_WORDS
 
@@ -491,22 +516,31 @@ def test_concurrent_runs_in_threads_match_serial_runs():
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("setting", ["fig3", "dense"])
+@pytest.mark.parametrize("setting", ["fig3", "dense", "scan"])
 def test_warm_kernel_allocates_no_chunk_sized_array(setting):
-    """A warm default-chunk run peaks below 128 KiB above its baseline under
-    tracemalloc; one float64 per event of a default chunk alone is 128 KiB."""
-    if setting == "fig3":
-        fig3 = fig3_experiment()
-        src, det, run = fig3.source, fig3.detector, fig3.run
-    else:
+    """A warm default-chunk run, and a warm 36 x 1 M-pulse fig3 scan, peak
+    below 128 KiB above their baseline under tracemalloc; one float64 per
+    event of a default chunk alone is 128 KiB."""
+    fig3 = fig3_experiment()
+    src, det, run = fig3.source, fig3.detector, fig3.run
+    if setting == "dense":
         src, det = _DENSE
         run = RunConfig(200_000, seed=12345)
-    simulate_run(src, 30 * DEG, 45 * DEG, det, run)
+    if setting == "scan":
+        run = RunConfig(1_000_000, run.seed)
+    theta1s = np.radians(fig3.theta1_grid_deg())
+
+    def simulate():
+        if setting == "scan":
+            return simulate_scan(src, theta1s, 45 * DEG, det, run)
+        return simulate_run(src, 30 * DEG, 45 * DEG, det, run)
+
+    simulate()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        simulate_run(src, 30 * DEG, 45 * DEG, det, run)
+        simulate()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -45,9 +45,13 @@ then builds its own tables and runs the same chunk loop;
 Every chunk-sized intermediate is written with ``out=`` into flat buffers of
 one workspace per thread, which every chunk of a run and every later run on
 that thread reuse, so a warm run allocates no chunk-sized array and faults in
-no new pages.  A buffer is kept only up to the largest first-pass gap grid of
-a default chunk, ``_CACHE_WORDS`` 8-byte items; a larger one, which only an
-explicit ``chunk_size`` asks for, is a new array that the workspace drops.
+no new pages.  A buffer that is dead by the time a later stage runs serves
+that stage too: the gap words become positions in place, and the cell
+search keeps its indices and thresholds in the buffers of the positions and
+the gap stage's scratch words.  A buffer is kept only up to the largest
+first-pass gap grid of a default chunk, ``_CACHE_WORDS`` 8-byte items; a
+larger one, which only an explicit ``chunk_size`` asks for, is a new array
+that the workspace drops.
 """
 
 from __future__ import annotations
@@ -250,14 +254,12 @@ def subtract_accidentals(rec: CountRecord) -> float:
 _BLOCK_BITS = 12
 _BLOCK = 1 << _BLOCK_BITS
 # expected event pulses in one default chunk
-_CHUNK_EVENTS = 1 << 14
+_CHUNK_EVENTS = 1 << 15
 # Gap draws resolve U to steps of 2**-53, so they cannot place events rarer
 # than that; a pulse's event chance below it counts as none.
 _GAP_RESOLUTION = 2.0**-53
-# draw index of an event pulse's joint (k, d1, d2) cell: its only draw
-_DRAW_CELL = np.zeros(1, np.uint64)
 # Words in the first-pass gap grid (blocks x gap words) of the largest default
-# chunk: 2**14 blocks of at most 7 words, at about one event per block.  The
+# chunk: 2**15 blocks of at most 7 words, at about one event per block.  The
 # workspace keeps no buffer of more 8-byte items than this.
 _CACHE_WORDS = 7 * _CHUNK_EVENTS
 # positions per batch of the event compaction: 32 KiB of float64
@@ -360,10 +362,11 @@ def _cell_search(tables: _PulseTables, u: np.ndarray, ws: _Workspace) -> np.ndar
     bucket = np.right_shift(u, _GUIDE_SHIFT, out=ws.take("scratch", n, np.uint64)).view(np.intp)
     found = tables.guide.take(bucket, mode="wrap", out=ws.take("cell", n, np.int32))
     crowded = np.less(found, 0, out=ws.take("crowded", n, np.bool_))
-    # take would convert the int32 indices to a new intp array
-    index = ws.take("index", n, np.intp)
+    # take would convert the int32 indices to a new intp array; the buckets
+    # in "scratch" are dead, and "pos" is not needed until after the search
+    index = ws.take("pos", n, np.float64).view(np.intp)
     np.copyto(index, found)
-    threshold = tables.cell_cdf.take(index, mode="wrap", out=ws.take("threshold", n, np.uint64))
+    threshold = tables.cell_cdf.take(index, mode="wrap", out=ws.take("scratch", n, np.uint64))
     found += np.less_equal(threshold, u, out=ws.take("mask", n, np.bool_))
     if crowded.any():
         found[crowded] = np.searchsorted(tables.cell_cdf, u[crowded], side="right")
@@ -432,6 +435,9 @@ def _gap_pass(
 ) -> np.ndarray:
     """Event positions from gap words ``first_word`` on, one row per block, as a grid in ``ws``.
 
+    The positions overwrite the words they come from, as a float64 view of
+    the "words" buffer.
+
     Row r continues from ``last[r]`` by ``gap_words`` geometric gaps
     floor(ln U / ln q) + 1, each from one word w of block key ``keys[r]``,
     with U = 1 - (w >> 11) 2**-53 in (0, 1].  w >> 11 is below 2**53, so its
@@ -450,7 +456,8 @@ def _gap_pass(
     np.copyto(words, keys[:, None])
     rng.draw_at(words, index, out=words, scratch=scratch)
     np.right_shift(words, np.uint64(11), out=scratch)
-    pos = ws.take("pos", size, np.float64).reshape(shape)
+    # the words are dead once shifted: the positions take their place
+    pos = words.view(np.float64)
     np.copyto(pos, scratch.view(np.int64))
     pos *= -(2.0**-53)
     # U lies in (0, 1], so each step is finite or +inf, never NaN
@@ -541,7 +548,7 @@ def _run_chunk(
     # whole numbers below 2**53: the cast to int64 is exact, and faster than to uint64
     np.copyto(keys.view(np.int64), events, casting="unsafe")
     rng.pulse_keys(tables.key, keys, out=keys, scratch=scratch)
-    rng.draw_at(keys, _DRAW_CELL, out=keys, scratch=scratch)
+    rng.draw_at(keys, 0, out=keys, scratch=scratch)  # the cell: an event's only draw
     cell = _cell_search(tables, keys, ws)
     np.minimum(cell, tables.cell_cdf.size - 1, out=cell)
     cell += 1
@@ -639,7 +646,7 @@ def simulate_run(
     given seed differ from those of earlier samplers, which routed every pair
     photon by photon; their statistics do not.  Chunks are whole blocks
     (``chunk_size`` is rounded up to one); by default a chunk holds about
-    16 k expected event pulses.  Non-finite analyzer angles raise
+    32 k expected event pulses.  Non-finite analyzer angles raise
     ``ValueError``.  This is the one-angle case of :func:`simulate_scan`.
     """
     return _simulate(cfg, theta1, theta2, det, run, lambda i: run.seed, chunk_size)[0]

@@ -91,18 +91,23 @@ def pulse_keys(
 
 def draw_at(
     keys: np.ndarray,
-    draw_indices: np.ndarray,
+    draw_indices: np.ndarray | int,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniform uint64 draws, one per pulse key and draw index.
 
-    ``draw_indices`` is a uint64 array that broadcasts against ``keys``: per
-    element, one index for all keys, or a row of indices for a column of
-    keys.  ``out`` (which may be ``keys`` itself) receives the draws and
-    ``scratch``, of the keys' shape, serves :func:`mix64`; both default to
-    new arrays.
+    ``draw_indices`` is one index for all keys, as an int, or a uint64 array
+    that broadcasts against ``keys``: per element, one index for all keys,
+    or a row of indices for a column of keys.  ``out`` (which may be
+    ``keys`` itself) receives the draws and ``scratch``, of the keys' shape,
+    serves :func:`mix64`; both default to new arrays.
     """
+    if isinstance(draw_indices, int):
+        # a scalar offset takes no iterator buffer; Python ints wrap without
+        # the overflow warning of numpy scalar arithmetic
+        off = np.uint64((draw_indices + 1) * DRAW_GAMMA & MASK64)
+        return mix64(np.add(keys, off, out=out), scratch)
     off = draw_indices + np.uint64(1)
     off *= _DRAW_GAMMA_U64
     if scratch is not None:

@@ -516,11 +516,33 @@ def test_concurrent_runs_in_threads_match_serial_runs():
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("setting", ["fig3", "dense"])
+def test_default_chunk_workspace_stays_under_2_mib(setting):
+    """A fresh thread's workspace after one default-chunk run totals under
+    2 MiB: the grid-sized buffers are reused for positions, cell indices and
+    thresholds instead of each taking its own."""
+    fig3 = fig3_experiment()
+    src, det, run = fig3.source, fig3.detector, fig3.run
+    if setting == "dense":
+        src, det = _DENSE
+        run = RunConfig(200_000, seed=12345)
+    sizes = {}
+
+    def fresh_thread_run():
+        simulate_run(src, 30 * DEG, 45 * DEG, det, run)
+        sizes.update((name, buf.nbytes) for name, buf in counting._thread_workspace()._bufs.items())
+
+    worker = threading.Thread(target=fresh_thread_run)
+    worker.start()
+    worker.join()
+    assert sizes and sum(sizes.values()) < 2 << 20, sizes
+
+
 @pytest.mark.parametrize("setting", ["fig3", "dense", "scan"])
 def test_warm_kernel_allocates_no_chunk_sized_array(setting):
     """A warm default-chunk run, and a warm 36 x 1 M-pulse fig3 scan, peak
     below 128 KiB above their baseline under tracemalloc; one float64 per
-    event of a default chunk alone is 128 KiB."""
+    event of a default chunk alone is 256 KiB."""
     fig3 = fig3_experiment()
     src, det, run = fig3.source, fig3.detector, fig3.run
     if setting == "dense":

@@ -34,6 +34,17 @@ def test_draw_at_matches_scalar_draw():
     assert [int(w) for w in rng.draw_at(keys, idx)] == scalar
 
 
+def test_an_int_draw_index_matches_the_array_index():
+    keys = rng.pulse_keys(rng.stream_key(6), np.arange(257, dtype=np.uint64))
+    for index in (0, 7, rng.MASK64 - 1, rng.MASK64):
+        expected = rng.draw_at(keys, np.array([index], dtype=np.uint64))
+        np.testing.assert_array_equal(rng.draw_at(keys, index), expected)
+        out = np.empty_like(keys)
+        got = rng.draw_at(keys, index, out=out, scratch=np.empty_like(keys))
+        assert got is out
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_draw_at_broadcasts_a_row_of_words_over_a_column_of_keys():
     keys = rng.pulse_keys(rng.block_stream_key(5), np.arange(8, dtype=np.uint64))
     words = np.arange(3, 9, dtype=np.uint64)

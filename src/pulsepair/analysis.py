@@ -159,7 +159,8 @@ def fit_fringe(
     if use_accidental_subtraction:
         y = np.maximum(0.0, y - scan.accidentals)
 
-    if len(np.unique(np.round(t, 12))) < 4:
+    # the design reads t only modulo pi, and round would overflow on a huge t
+    if len(np.unique(np.round(np.mod(t, np.pi), 12))) < 4:
         raise ValueError("underdetermined fit: need at least 4 distinct angles")
     design = np.column_stack([np.ones_like(t), np.cos(2.0 * t), np.sin(2.0 * t)])
     var = np.maximum(y, 1.0)  # Poisson variance floor
@@ -187,7 +188,8 @@ def fit_fringe(
         xtx_inv = np.linalg.inv(design.T @ design)
         cov = xtx_inv @ (design.T * var) @ design @ xtx_inv
     offset_sigma = float(np.sqrt(max(cov[0, 0], 0.0)))
-    if amplitude > 0.0:
+    # the gradient's products underflow to zero only at counts near 1e-154
+    if amplitude * offset > 0.0 and offset * offset > 0.0:
         g_amp = np.array([0.0, c_cos / amplitude, c_sin / amplitude])
         amplitude_sigma = float(np.sqrt(max(g_amp @ cov @ g_amp, 0.0)))
         g_vis = np.array(

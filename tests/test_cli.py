@@ -437,3 +437,92 @@ def test_missing_scan_csv_exits_two(tmp_path):
 def test_help_exits_zero():
     code, _, _ = _run(["--help"])
     assert code == 0
+
+
+def _assert_clean_exit(argv, code, out, err, caught):
+    """Exit 0, 1 or 2 with no traceback and no warning; a failure prints one
+    stderr line and nothing to stdout."""
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert (code == 0) == (err == ""), (argv, code, err)
+    if code:
+        assert len(err.splitlines()) == 1 and out == "", (argv, err, out)
+
+
+def _run_quietly(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(argv)
+    _assert_clean_exit(argv, code, out, err, caught)
+    return code
+
+
+# a config line: a known key, its uppercase or a stray word, with a value that
+# is a number, a word or any text, optionally commented or without its "="
+_CONFIG_LINE = st.builds(
+    "{}{}{}{}{}".format,
+    st.sampled_from([*CONFIG_KEYS, "GAIN_UP", "n_pulse", "", "#"]),
+    st.sampled_from([" = ", "=", " ", " == ", ": "]),
+    st.one_of(
+        st.floats().map(repr),
+        st.integers(-(2**70), 2**70).map(str),
+        st.sampled_from(["standard", "mirrored", "nan", "-inf", "1e999", "0x10", "", "1_0"]),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    ),
+    st.sampled_from(["", " # note", "  "]),
+    st.sampled_from(["\n", "\r\n", "\n\n"]),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_CONFIG_LINE, max_size=8))
+@example(["n_pulses = 0\n"])
+@example(["seed = 18446744073709551616\n", "angle_convention = sideways\n"])
+@example(["mean_pairs_per_pulse = 1e12\n"])
+@example(["gain_up = 1.0 overlap_mu = 0.5\n"])
+def test_random_config_text_exits_cleanly(tmp_path_factory, lines):
+    """Any config file text gives a result or one stderr line: the analytic
+    commands are run, so any n_pulses stays fast."""
+    path = tmp_path_factory.mktemp("cfg") / "random.cfg"
+    path.write_text("".join(lines), encoding="utf-8")
+    codes = {_run_quietly([cmd, "--config", str(path)]) for cmd in ("state", "scan", "chsh")}
+    assert codes <= {0, 1}
+
+
+_CSV_ANGLE = st.sampled_from([0.0, 10.0, 45.0, 90.0, 180.0, 360.0]) | st.floats(-1e3, 1e3)
+_CSV_COUNT = st.integers(0, 10**9).map(str) | st.floats(0.0, 1e12).map(repr) | st.floats().map(repr)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(_CSV_ANGLE.map(repr), st.lists(_CSV_COUNT, min_size=2, max_size=6)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from([[], ["--subtract-accidentals"], ["--weighted"]]),
+    st.booleans(),
+)
+@example([(repr(t), ["10", "5", "5", "1"]) for t in (30.0, 0.0, 20.0, 10.0, 0.0)], [], True)
+@example([(repr(t), ["1", "1", "1"]) for t in (0.0, 10.0, 20.0, 30.0)], [], True)
+@example([(repr(t), ["100", "10", "10", "1"]) for t in (0.0, 180.0, 360.0, 540.0)], [], False)
+@example([("1e300", ["10", "10", "10", "1"])]
+         + [(repr(t), [repr(t + 1.0), "10", "10", "1"]) for t in (10.0, 20.0, 30.0)], [], False)
+@example([(repr(t), [repr(c * 1e-300), "10", "10", "0"])
+          for t, c in ((0.0, 1.0), (10.0, 5.0), (20.0, 3.0), (30.0, 8.0))], ["--weighted"], False)
+@example([(repr(t), [repr(c * 1e-310), "10", "10", "0"])
+          for t, c in ((0.0, 1.0), (10.0, 5.0), (20.0, 3.0), (30.0, 8.0))], [], False)
+def test_malformed_scan_csv_fit_exits_cleanly(tmp_path_factory, rows, flags, shuffle):
+    """``fit`` of a scan CSV with rows out of order, repeated angles, rows of
+    the wrong length or any float counts fits or exits 1 with one line.
+
+    ``rows`` holds (angle, counts) with two to six counts, so some rows have
+    the wrong number of fields; ``shuffle`` reverses them.
+    """
+    if shuffle:
+        rows = rows[::-1]
+    body = "".join(",".join((theta, *counts)) + "\n" for theta, counts in rows)
+    path = tmp_path_factory.mktemp("csv") / "scan.csv"
+    path.write_text(f"# mode = monte-carlo\n{CSV_HEADER}\n{body}", encoding="utf-8")
+    assert _run_quietly(["fit", *flags, str(path)]) in (0, 1)

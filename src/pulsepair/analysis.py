@@ -188,7 +188,7 @@ def fit_fringe(
         xtx_inv = np.linalg.inv(design.T @ design)
         cov = xtx_inv @ (design.T * var) @ design @ xtx_inv
     offset_sigma = float(np.sqrt(max(cov[0, 0], 0.0)))
-    # the gradient's products underflow to zero only at counts near 1e-154
+    # at counts near 1e-154 or less the gradient's products underflow to zero
     if amplitude * offset > 0.0 and offset * offset > 0.0:
         g_amp = np.array([0.0, c_cos / amplitude, c_sin / amplitude])
         amplitude_sigma = float(np.sqrt(max(g_amp @ cov @ g_amp, 0.0)))

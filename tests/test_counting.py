@@ -327,10 +327,11 @@ def test_simulate_scan_equals_per_point_runs(scenario):
 @pytest.mark.parametrize("words_per_pass", [1, 3, counting._BLOCK + 1])
 def test_event_positions_do_not_depend_on_gap_word_oversupply(monkeypatch, words_per_pass):
     n = 3 * counting._BLOCK + 123
-    cases = [  # sparse, moderate, background only
+    cases = [  # sparse, moderate, background only, dense (rows of over 2048 words)
         (SourceConfig(mean_pairs_per_pulse=0.01), DetectorConfig(0.6, 0.6, 2.6e-3, 2.6e-3)),
         (SourceConfig(gain_down=0.7, mean_pairs_per_pulse=0.5), DetectorConfig(0.5, 0.7, 1e-2, 0.0)),
         (SourceConfig(mean_pairs_per_pulse=0.0), DetectorConfig(0.6, 0.6, 0.3, 0.2)),
+        _DENSE,
     ]
     runs = [(cfg, det, RunConfig(n, seed=31 + i)) for i, (cfg, det) in enumerate(cases)]
     expected = [simulate_run(cfg, 0.2, 0.9, det, run) for cfg, det, run in runs]

@@ -348,6 +348,25 @@ def test_n_pulses_above_bound_exits_one_with_one_line(monkeypatch):
     assert len(err.splitlines()) == 1 and "n_pulses" in err, err
 
 
+def _run_quietly(argv):
+    """Run one command, which raises no warning and exits either 0 with
+    output and an empty stderr, or 1 or 2 with one stderr line, no output
+    and no traceback; returns the exit code.
+
+    Python prints every warning to stderr too, so none may be raised.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(argv)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert "Traceback" not in err, (argv, err)
+    if code == 0:
+        assert out and not err, (argv, err)
+    else:
+        assert code in (1, 2) and not out and len(err.splitlines()) == 1, (argv, code, err)
+    return code
+
+
 _BOUNDARY_KEYS = tuple(key.upper() for key, parse in CONFIG_KEYS.items() if parse is float)
 
 
@@ -366,20 +385,12 @@ _BOUNDARY_VALUE = st.none() | st.floats(0.0, 1.0) | st.floats()
           "EFFICIENCY1": None, "BACKGROUND_PROB1": None})
 def test_boundary_env_values_exit_cleanly(values):
     """Any float in any float-valued variable either runs or exits 1 with one
-    stderr line.
-
-    Python prints every warning to stderr too, so none may be raised.
-    """
+    stderr line."""
     env = {"PULSEPAIR_N_PULSES": "2000"}
     env.update({f"PULSEPAIR_{key}": repr(val) for key, val in values.items() if val is not None})
     for argv in (["state"], ["scan", "--mode", "monte-carlo"], ["chsh"]):
-        with mock.patch.dict(os.environ, env), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = _run(argv)
-        assert code in (0, 1), (argv, code, err)
-        assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, err)
-        assert not caught, (argv, [str(w.message) for w in caught])
-        assert (code == 0) == (err == "") and (code == 0) == (out != ""), (argv, code, err)
+        with mock.patch.dict(os.environ, env):
+            assert _run_quietly(argv) in (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -437,25 +448,6 @@ def test_missing_scan_csv_exits_two(tmp_path):
 def test_help_exits_zero():
     code, _, _ = _run(["--help"])
     assert code == 0
-
-
-def _assert_clean_exit(argv, code, out, err, caught):
-    """Exit 0, 1 or 2 with no traceback and no warning; a failure prints one
-    stderr line and nothing to stdout."""
-    assert code in (0, 1, 2), (argv, code, err)
-    assert "Traceback" not in err, (argv, err)
-    assert not caught, (argv, [str(w.message) for w in caught])
-    assert (code == 0) == (err == ""), (argv, code, err)
-    if code:
-        assert len(err.splitlines()) == 1 and out == "", (argv, err, out)
-
-
-def _run_quietly(argv):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = _run(argv)
-    _assert_clean_exit(argv, code, out, err, caught)
-    return code
 
 
 # a config line: a known key, its uppercase or a stray word, with a value that

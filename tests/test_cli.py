@@ -505,14 +505,14 @@ _CSV_COUNT = st.integers(0, 10**9).map(str) | st.floats(0.0, 1e12).map(repr) | s
           for t, c in ((0.0, 1.0), (10.0, 5.0), (20.0, 3.0), (30.0, 8.0))], ["--weighted"], False)
 @example([(repr(t), [repr(c * 1e-310), "10", "10", "0"])
           for t, c in ((0.0, 1.0), (10.0, 5.0), (20.0, 3.0), (30.0, 8.0))], [], False)
-def test_malformed_scan_csv_fit_exits_cleanly(tmp_path_factory, rows, flags, shuffle):
+def test_malformed_scan_csv_fit_exits_cleanly(tmp_path_factory, rows, flags, reverse):
     """``fit`` of a scan CSV with rows out of order, repeated angles, rows of
     the wrong length or any float counts fits or exits 1 with one line.
 
     ``rows`` holds (angle, counts) with two to six counts, so some rows have
-    the wrong number of fields; ``shuffle`` reverses them.
+    the wrong number of fields; ``reverse`` reverses their order.
     """
-    if shuffle:
+    if reverse:
         rows = rows[::-1]
     body = "".join(",".join((theta, *counts)) + "\n" for theta, counts in rows)
     path = tmp_path_factory.mktemp("csv") / "scan.csv"

@@ -159,8 +159,10 @@ def fit_fringe(
     if use_accidental_subtraction:
         y = np.maximum(0.0, y - scan.accidentals)
 
-    # the design reads t only modulo pi, and round would overflow on a huge t
-    if len(np.unique(np.round(np.mod(t, np.pi), 12))) < 4:
+    # round scales t by 1e12, which overflows to +-inf past about 1e296 rad
+    with np.errstate(over="ignore"):
+        distinct = len(np.unique(np.round(t, 12)))
+    if distinct < 4:
         raise ValueError("underdetermined fit: need at least 4 distinct angles")
     design = np.column_stack([np.ones_like(t), np.cos(2.0 * t), np.sin(2.0 * t)])
     var = np.maximum(y, 1.0)  # Poisson variance floor

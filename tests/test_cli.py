@@ -262,6 +262,22 @@ def test_fit_constant_counts_prints_zero_visibility(tmp_path):
     assert "visibility_fit = 0.000000" in out
 
 
+@pytest.mark.parametrize(
+    "angles, expected",
+    [
+        ((0.0, 60.0, 120.0, 180.0), 0),  # 0 and 180 degrees are distinct angles
+        ((0.0, 10.0, 20.0, 0.0), 1),  # three distinct angles
+        ((0.0, 180.0, 360.0, 540.0), 1),  # four angles, one design row
+        ((1e300, 10.0, 20.0, 30.0), 0),  # a huge angle counts without overflow
+    ],
+)
+def test_fit_counts_distinct_angles(tmp_path, angles, expected):
+    path = tmp_path / "scan.csv"
+    rows = "".join(f"{t!r},{100 - i * 20},10,10,1\n" for i, t in enumerate(angles))
+    path.write_text(f"{CSV_HEADER}\n{rows}")
+    assert _run_quietly(["fit", str(path)]) == expected
+
+
 def test_chsh_command_prints_tsirelson_value():
     code, out, err = _run(["chsh"])
     assert code == 0, err

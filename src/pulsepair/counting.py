@@ -20,21 +20,21 @@ accidental estimate.
 
 The pairs of a pulse are independent, so given k pairs
 P(no D1) = (1 - b1)(1 - s1)^k and
-P(neither) = (1 - b1)(1 - b2)(1 - s1 - s2 + s12)^k.  The Monte Carlo visits
-only event pulses: those with at least one pair or a background click,
-P(event) = 1 - (1 - b1)(1 - b2) exp(-lambda).  Their positions come from
-geometric gaps between events, drawn from a block-level counter stream keyed
-by (seed, block of 4096 pulses, word index).  Each event pulse takes its pair
-number and whether D1 and D2 click in one draw from their joint distribution
-given an event, keyed by (seed, pulse index, draw index).  The draw's cell is
-found through a guide table indexed by its top 12 bits (Chen & Asau, AIIE
-Trans. 6(2), 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
-III.2.4): one table read and at most one step, with a binary search only in
-the few buckets that hold two or more thresholds.  It returns exactly the cell
-a binary search over all thresholds returns, so counts are those of the plain
-search.  Chunks of whole blocks run one after another in a single thread.  A
-run is therefore bit-reproducible regardless of chunking or worker count, and
-its cost grows with the number of event pulses, not of pulses or pairs.
+P(neither) = (1 - b1)(1 - b2)(1 - s1 - s2 + s12)^k; summed over the Poisson
+pair number these become P(no D1) = (1 - b1) exp(-lambda s1) and
+P(neither) = (1 - b1)(1 - b2) exp(-lambda (s1 + s2 - s12)).  The Monte Carlo
+visits only event pulses: those with at least one pair or a background
+click, P(event) = 1 - (1 - b1)(1 - b2) exp(-lambda).  Their positions come
+from geometric gaps between events, drawn from a block-level counter stream
+keyed by (seed, block of 4096 pulses, word index).  Each event pulse takes
+whether D1 and D2 click in one 64-bit draw u keyed by (seed, pulse index,
+draw index).  Three thresholds t0 <= t1 <= t2 split the draws into the click
+patterns given an event, in the order no click, D1 only, both, D2 only, so
+D1 clicks if t0 <= u < t2 and D2 if u >= t1: three compares against scalars
+per event, with no table to search.  Chunks of whole blocks run one after
+another in a single thread.  A run is therefore bit-reproducible regardless
+of chunking or worker count, and its cost grows with the number of event
+pulses, not of pulses or pairs.
 
 A scan (:func:`simulate_scan`) is one run per analyzer-1 angle, point i
 seeded by ``rng.derive_seed(seed, i)``.  The emitted state and the click
@@ -46,16 +46,16 @@ Every chunk-sized intermediate is written with ``out=`` into flat buffers of
 one workspace per thread, which every chunk of a run and every later run on
 that thread reuse, so a warm run allocates no chunk-sized array and faults in
 no new pages.  A buffer that is dead by the time a later stage runs serves
-that stage too: the gap words become positions in place, and the cell
-search keeps its indices and thresholds in the buffers of the positions and
-the gap stage's scratch words.  A buffer is kept only up to the largest
-first-pass gap grid of a default chunk, ``_CACHE_WORDS`` 8-byte items; a
-larger one, which only an explicit ``chunk_size`` asks for, is a new array
-that the workspace drops.
+that stage too: the gap words become positions in place, and the event
+draws take the words' buffer once the positions are compacted.  A buffer is
+kept only up to the largest first-pass gap grid of a default chunk,
+``_CACHE_WORDS`` 8-byte items; a larger one, which only an explicit
+``chunk_size`` asks for, is a new array that the workspace drops.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import warnings
 from dataclasses import dataclass
@@ -264,47 +264,35 @@ _GAP_RESOLUTION = 2.0**-53
 _CACHE_WORDS = 7 * _CHUNK_EVENTS
 # positions per batch of the event compaction: 32 KiB of float64
 _COMPACT_ITEMS = 1 << 12
-# The cell guide table has one entry per value of a draw's top bits.
-_GUIDE_BITS = 12
-_GUIDE_SHIFT = np.uint64(64 - _GUIDE_BITS)
 
 
-def _event_cells(
+def _event_patterns(
     lam: float, b1: float, b2: float, s1: float, s2: float, s12: float
 ) -> np.ndarray:
-    """uint64 CDF thresholds of a pulse's (pairs, D1 click, D2 click) given an event.
+    """Per-pulse probabilities of an event pulse's click patterns: no click,
+    D1 only, both, D2 only.  They sum to P(event) = 1 - E.
 
-    Cell c holds k = c >> 2 pairs, a D1 click if c & 1 and a D2 click if
-    c & 2; (s1, s2, s12) are one pair's click probabilities from
-    :func:`pair_click_probs` and b1, b2 the background probabilities.  Row k
-    holds the four click patterns given k independent pairs, weighted by
-    Poisson(k).  The empty cell 0 (no pair, no click) is left out, so
-    threshold i closes cell i + 1.  The Poisson table ends ten standard
-    deviations plus 30 above lam, where its tail mass is below 1e-20; the
-    table stops at the first cell where the float64 CDF reaches 1, since
-    later cells carry less mass than the thresholds resolve.
+    (s1, s2, s12) are one pair's click probabilities from
+    :func:`pair_click_probs` and b1, b2 the background probabilities.  Summed
+    over the Poisson pair number, A = P(no D1) = (1 - b1) exp(-lam s1),
+    B = P(no D2) = (1 - b2) exp(-lam s2), Q = P(neither) =
+    (1 - b1)(1 - b2) exp(-lam (s1 + s2 - s12)) and the empty pulse has
+    E = (1 - b1)(1 - b2) exp(-lam).  The patterns are Q - E, B - Q,
+    1 - A - B + Q and A - Q; each is written as survival factors times
+    -expm1 of a nonpositive argument, so no near-equal terms are subtracted
+    at small lam and nothing overflows at large lam.
     """
-    if lam > 0.0:
-        k = np.arange(int(lam + 10.0 * np.sqrt(lam) + 30.0) + 1)
-        log_factorial = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
-        # in log space: exp(-lam) alone underflows for large lam
-        pmf = np.exp(k * np.log(lam) - lam - log_factorial)
-    else:
-        k, pmf = np.zeros(1), np.ones(1)
-    # P(no D1), P(no D2) and P(neither) given k pairs
-    none1 = (1 - b1) * (1 - s1) ** k
-    none2 = (1 - b2) * (1 - s2) ** k
-    neither = (1 - b1) * (1 - b2) * (1 - s1 - s2 + s12) ** k
-    pattern = np.stack([neither, none2 - neither, none1 - neither, 1 - none1 - none2 + neither], 1)
-    # the differences may round to tiny negatives
-    np.maximum(pattern, 0.0, out=pattern)
-    cdf = np.cumsum((pmf[:, None] * pattern).ravel()[1:])
-    cdf = cdf[: int(np.argmax(cdf >= cdf[-1])) + 1] / cdf[-1]
-    # cap strictly below 2**64 so the uint64 cast cannot wrap
-    cap = np.nextafter(2.0**64, 0.0)
-    out = np.minimum(cdf * 2.0**64, cap).astype(np.uint64)
-    out[-1] = np.uint64(rng.MASK64)
-    return out
+    l1, l2 = math.log1p(-b1), math.log1p(-b2)
+    # one pair's chance of no click, of D1 alone and of D2 alone, never below 0
+    none, only1, only2 = (max(x, 0.0) for x in (1.0 - s1 - s2 + s12, s1 - s12, s2 - s12))
+    neither = math.exp(l1 + l2 - lam * (s1 + s2 - s12))
+    return np.array([
+        -neither * math.expm1(-lam * none),
+        -math.exp(l2 - lam * s2) * math.expm1(l1 - lam * only1),
+        # (1 - A)(1 - B) + Q - AB, with Q - AB = Q (1 - exp(-lam s12))
+        math.expm1(l1 - lam * s1) * math.expm1(l2 - lam * s2) - neither * math.expm1(-lam * s12),
+        -math.exp(l1 - lam * s1) * math.expm1(l2 - lam * only2),
+    ])
 
 
 def _gap_words(p_event: float) -> int:
@@ -322,55 +310,9 @@ class _PulseTables:
     block_key: int  # block stream: event positions
     log_q: float  # ln P(no pair and no background click) for one pulse
     gap_words: int
-    cell_cdf: np.ndarray  # uint64 thresholds of the joint (k, d1, d2) cells
-    guide: np.ndarray  # per top-bits bucket: thresholds <= its lowest word, or -1
-
-
-def _guide_table(cell_cdf: np.ndarray) -> np.ndarray:
-    """Guide entries for the cell thresholds.
-
-    Bucket j holds the draws whose top ``_GUIDE_BITS`` bits are j.  Its guide
-    entry counts the thresholds in lower buckets, all below any draw in it:
-    the first candidate for the search count of such a draw.  A bucket with
-    at most one threshold settles every draw in one step; the others are
-    crowded, and their entry is -1.  Entries are int32: the lookup is random
-    reads of this table, and at half the cache footprint of int64 entries a
-    run at lambda = 2 took 8-18 % less time on a 2-vCPU Xeon.
-    """
-    # buckets are below 2**12: their int64 view counts without conversion
-    per = np.bincount((cell_cdf >> _GUIDE_SHIFT).view(np.intp), minlength=1 << _GUIDE_BITS)
-    # the exclusive sum in place on intp: a mixed-dtype one takes a cast buffer
-    guide = np.cumsum(per)
-    guide -= per
-    guide[per >= 2] = -1
-    return guide.astype(np.int32)
-
-
-def _cell_search(tables: _PulseTables, u: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """``np.searchsorted(tables.cell_cdf, u, side="right")`` via the guide table.
-
-    The last threshold is ``MASK64``, above every bucket's lowest word, so a
-    guide entry of a bucket that is not crowded indexes a threshold, and the
-    one step stays in bounds; draws in crowded buckets take a binary search.
-    ``mode="wrap"`` changes no index in bounds and sends the -1 entries to a
-    threshold whose step the search then replaces; unlike the default mode,
-    it lets ``take`` write straight to its ``out``.  The result is an int32
-    view into ``ws``.
-    """
-    n = u.size
-    # buckets are below 2**12: their int64 view indexes without conversion
-    bucket = np.right_shift(u, _GUIDE_SHIFT, out=ws.take("scratch", n, np.uint64)).view(np.intp)
-    found = tables.guide.take(bucket, mode="wrap", out=ws.take("cell", n, np.int32))
-    crowded = np.less(found, 0, out=ws.take("crowded", n, np.bool_))
-    # take would convert the int32 indices to a new intp array; the buckets
-    # in "scratch" are dead, and "pos" is not needed until after the search
-    index = ws.take("pos", n, np.float64).view(np.intp)
-    np.copyto(index, found)
-    threshold = tables.cell_cdf.take(index, mode="wrap", out=ws.take("scratch", n, np.uint64))
-    found += np.less_equal(threshold, u, out=ws.take("mask", n, np.bool_))
-    if crowded.any():
-        found[crowded] = np.searchsorted(tables.cell_cdf, u[crowded], side="right")
-    return found
+    # uint64 thresholds t0 <= t1 <= t2 of an event's draw u over the patterns
+    # no click, D1 only, both, D2 only: D1 clicks if t0 <= u < t2, D2 if u >= t1
+    thresholds: np.ndarray
 
 
 def _build_tables(probs, det: DetectorConfig, seed: int, lam: float) -> _PulseTables:
@@ -379,16 +321,17 @@ def _build_tables(probs, det: DetectorConfig, seed: int, lam: float) -> _PulseTa
     b1, b2 = det.background_prob1, det.background_prob2
     log_q = float(np.log1p(-b1) + np.log1p(-b2) - lam)
     if log_q > -_GAP_RESOLUTION:
-        log_q, cell_cdf = 0.0, np.empty(0, np.uint64)  # no event pulses
+        log_q, thresholds = 0.0, np.zeros(3, np.uint64)  # no event pulses
     else:
-        cell_cdf = _event_cells(lam, b1, b2, *probs)
+        cdf = np.cumsum(_event_patterns(lam, b1, b2, *probs)[:3]) / -math.expm1(log_q)
+        # c * 2**64 is exact, so int() floors it; a rounded cdf may pass 1
+        thresholds = np.array([min(int(c * 2.0**64), rng.MASK64) for c in cdf], np.uint64)
     return _PulseTables(
         key=rng.stream_key(seed),
         block_key=rng.block_stream_key(seed),
         log_q=log_q,
         gap_words=_gap_words(-np.expm1(log_q)),
-        cell_cdf=cell_cdf,
-        guide=_guide_table(cell_cdf),
+        thresholds=thresholds,
     )
 
 
@@ -556,12 +499,11 @@ def _run_chunk(
     # whole numbers below 2**53: the cast to int64 is exact, and faster than to uint64
     np.copyto(keys.view(np.int64), events, casting="unsafe")
     rng.pulse_keys(tables.key, keys, out=keys, scratch=scratch)
-    rng.draw_at(keys, 0, out=keys, scratch=scratch)  # the cell: an event's only draw
-    cell = _cell_search(tables, keys, ws)
-    np.minimum(cell, tables.cell_cdf.size - 1, out=cell)
-    cell += 1
-    d1 = np.bitwise_and(cell, 1, out=ws.take("d1", n, np.bool_), casting="unsafe")
-    d2 = np.bitwise_and(cell, 2, out=ws.take("d2", n, np.bool_), casting="unsafe")
+    rng.draw_at(keys, 0, out=keys, scratch=scratch)  # the click pattern: an event's only draw
+    t0, t1, t2 = tables.thresholds
+    d1 = np.greater_equal(keys, t0, out=ws.take("d1", n, np.bool_))
+    d1 &= np.less(keys, t2, out=ws.take("mask", n, np.bool_))
+    d2 = np.greater_equal(keys, t1, out=ws.take("d2", n, np.bool_))
     singles1 = int(np.count_nonzero(d1))
     singles2 = int(np.count_nonzero(d2))
     both = np.logical_and(d1, d2, out=ws.take("mask", n, np.bool_))
@@ -643,16 +585,15 @@ def simulate_run(
 
     Only pulses with a pair or a background click are visited.  Their
     positions are keyed by (seed, block of 4096 pulses, word); each such
-    pulse draws its (pair number, D1 click, D2 click) in one draw keyed by
-    (seed, pulse, draw), from a table built on :func:`pair_click_probs`, so
-    no photon is routed one by one.  The draw's cell comes from a guide-table
-    lookup that returns exactly the cell of a binary search over the
-    thresholds, so counts equal those of the binary-search kernel.  The result
+    pulse draws whether D1 and D2 click in one draw keyed by (seed, pulse,
+    draw), compared with three thresholds built on :func:`pair_click_probs`,
+    so no pair is counted and no photon is routed one by one.  The result
     depends only on (seed, configs): chunk size only sets the memory of one
     chunk, and ``run.workers`` has no effect, because the chunks run one after
     another in this thread, in this thread's workspace.  The counts for a
-    given seed differ from those of earlier samplers, which routed every pair
-    photon by photon; their statistics do not.  Chunks are whole blocks
+    given seed differ from those of earlier samplers, which drew each event's
+    pair number or routed every pair photon by photon; their statistics do
+    not.  Chunks are whole blocks
     (``chunk_size`` is rounded up to one); by default a chunk holds about
     32 k expected event pulses.  Non-finite analyzer angles raise
     ``ValueError``.  This is the one-angle case of :func:`simulate_scan`.

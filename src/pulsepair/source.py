@@ -24,9 +24,10 @@ from .polarization import (
     phase_shifter,
 )
 
-# Upper bound on the mean pairs per pulse.  The Monte Carlo tabulates the
-# Poisson pair number to about lambda + 10 sqrt(lambda) + 30 rows, so this
-# caps that table at a few thousand cells.
+# Upper bound on the mean pairs per pulse.  Nothing in the Monte Carlo grows
+# with lambda; the bound keeps configs within the range the sampler and the
+# rate models are tested over.  At it every pulse already holds an event:
+# exp(-1000) underflows to 0 in float64.
 MAX_MEAN_PAIRS_PER_PULSE = 1000.0
 
 

@@ -136,6 +136,28 @@ def enumerated_exact_rates(rho4, theta1, theta2, lam, det):
     return p1, p2, 1.0 - q1 - q2 + q0, p1 * p2
 
 
+def poisson_pattern_probs(lam, b1, b2, s1, s2, s12):
+    """Per-pulse probabilities of an event pulse's click patterns (no click,
+    D1 only, both, D2 only), summed pair number by pair number; lam > 0.
+
+    Given k pairs, P(no D1) = (1 - b1)(1 - s1)^k, P(no D2) = (1 - b2)(1 - s2)^k
+    and P(neither) = (1 - b1)(1 - b2)(1 - s1 - s2 + s12)^k.  Each k >= 1 is
+    weighted by its Poisson pmf, taken in log space since exp(-lam) alone
+    underflows at large lam.  The k = 0 row is the background alone:
+    b1 (1 - b2), b1 b2 and (1 - b1) b2, with the empty pulse left out.  The
+    sum stops at lam + 12 sqrt(lam) + 40 pairs, past which the Poisson tail
+    is below 1e-25.
+    """
+    k = np.arange(1.0, int(lam + 12.0 * np.sqrt(lam) + 40.0) + 1)
+    pmf = np.exp(k * np.log(lam) - lam - np.cumsum(np.log(k)))
+    none1 = (1 - b1) * (1 - s1) ** k
+    none2 = (1 - b2) * (1 - s2) ** k
+    neither = (1 - b1) * (1 - b2) * (1 - s1 - s2 + s12) ** k
+    rows = np.stack([neither, none2 - neither, 1 - none1 - none2 + neither, none1 - neither])
+    background = np.array([0.0, b1 * (1 - b2), b1 * b2, (1 - b1) * b2])
+    return np.exp(-lam) * background + rows @ pmf
+
+
 def fit_fringe_oracle(theta1s, counts):
     """Plain normal-equations fringe fit, independent of the package path."""
     x = np.column_stack([np.ones_like(theta1s), np.cos(2 * theta1s), np.sin(2 * theta1s)])

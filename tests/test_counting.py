@@ -31,6 +31,7 @@ from oracles import (
     enumerated_exact_rates,
     enumerated_expected_rates,
     enumerated_pair_rates,
+    poisson_pattern_probs,
     random_density_matrix,
 )
 
@@ -293,7 +294,7 @@ def _exact_pulls(rec, p1, p2, pc, pa):
     ]
 
 
-@pytest.mark.parametrize("lam", [0.5, 2.0])
+@pytest.mark.parametrize("lam", [0.01, 0.5, 2.0, 20.0])
 def test_multi_pair_monte_carlo_matches_exact_rates(lam):
     cfg = SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=lam)
     rho = emitted_state(cfg).matrix
@@ -367,32 +368,52 @@ def test_records_match_across_block_unaligned_chunks(n):
 
 
 def _decoded_rates(tables):
-    """Per-pulse P(D1), P(D2) and P(both) read back from the event-cell thresholds.
+    """Per-pulse P(D1), P(D2) and P(both) read back from the three thresholds.
 
-    A draw u picks the cell after the last threshold <= u; the last threshold
-    is 2**64 - 1 and closes the last cell, so the cells' edges are the
-    thresholds with 0 before them and 2**64 in place of the last one.
+    Given an event, D1 clicks for draws in [t0, t2), D2 for draws in
+    [t1, 2**64) and both for [t1, t2).  The widths are taken in integer
+    arithmetic: a float 1 - t1 / 2**64 would lose the low bits of t1.
     """
-    if tables.cell_cdf.size == 0:
-        return 0.0, 0.0, 0.0
-    edges = np.concatenate(([0.0], tables.cell_cdf[:-1].astype(np.float64), [2.0**64]))
-    given_event = np.diff(edges) / 2.0**64
-    cell = np.arange(1, given_event.size + 1)
+    t0, t1, t2 = (int(t) for t in tables.thresholds)
     p_event = -np.expm1(tables.log_q)
-    return tuple(p_event * given_event[(cell & m) == m].sum() for m in (1, 2, 3))
+    return tuple(p_event * (width / 2**64) for width in (t2 - t0, 2**64 - t1, t2 - t1))
 
 
 @pytest.mark.parametrize("b1, b2", [(0.0, 0.0), (2e-3, 5e-3)])
-@pytest.mark.parametrize("lam", [0.0, 0.01, 0.5, 2.0, 20.0])
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 0.01, 0.5, 2.0, 20.0, 1000.0])
 def test_event_cells_decode_to_exact_rates(lam, b1, b2):
     cfg = SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=lam)
     rho = emitted_state(cfg)
     det = DetectorConfig(0.5, 0.7, b1, b2)
     for t1, t2 in [(0.0, 0.0), (0.0, 45 * DEG), (22.5 * DEG, 45 * DEG), (135 * DEG, 60 * DEG)]:
         tables = counting._build_tables(pair_click_probs(rho, t1, t2, det), det, 12345, lam)
+        t = tables.thresholds
+        assert t.dtype == np.uint64 and t[0] <= t[1] <= t[2], t
         p1, p2, pc, _ = enumerated_exact_rates(rho.matrix, t1, t2, lam, det)
         got = _decoded_rates(tables)
         assert max(abs(g - w) for g, w in zip(got, (p1, p2, pc))) < 1e-12, (t1, t2, got)
+
+
+@pytest.mark.parametrize("b1, b2", [(0.0, 0.0), (2e-3, 5e-3)])
+@pytest.mark.parametrize("lam", [1e-6, 0.01, 0.5, 2.0, 10.0, 20.0, 100.0, 1000.0])
+def test_event_patterns_match_poisson_sum(lam, b1, b2):
+    """The closed-form click patterns equal the sum over the pair number.
+
+    Up to lam = 10 they agree to 1e-12 relative.  Above it the oracle's log
+    pmf, k ln lam - lam - ln k!, adds terms of size lam ln lam, about 7000 at
+    lam = 1000, so its rounding alone gives the pmf a relative error that
+    grows with lam: 7.7e-12 at lam = 1000 on these cases.  Larger lam is
+    therefore held to 1e-12 lam / 10.
+    """
+    rho = emitted_state(SourceConfig(gain_down=0.7, overlap_mu=0.8))
+    det = DetectorConfig(0.5, 0.7, b1, b2)
+    rtol = 1e-12 * max(lam / 10.0, 1.0)
+    for t1, t2 in [(0.0, 0.0), (0.0, 45 * DEG), (22.5 * DEG, 45 * DEG), (135 * DEG, 60 * DEG)]:
+        probs = [float(p) for p in pair_click_probs(rho, t1, t2, det)]
+        got = counting._event_patterns(lam, b1, b2, *probs)
+        want = poisson_pattern_probs(lam, b1, b2, *probs)
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0, err_msg=f"{t1} {t2}")
+        assert np.isclose(got.sum(), -np.expm1(np.log1p(-b1) + np.log1p(-b2) - lam), rtol=1e-15)
 
 
 def test_no_events_without_pairs_or_background():
@@ -407,36 +428,14 @@ def test_no_events_without_pairs_or_background():
         assert rec == CountRecord(n, 0, 0, 0, 0)
 
 
-@pytest.mark.parametrize(
-    "lam, b1, b2",
-    [(lam, b, b) for lam in (0.01, 2.0, 1000.0) for b in (0.0, 2e-3)] + [(0.0, 0.05, 0.1)],
-)
-def test_guide_lookup_equals_searchsorted(lam, b1, b2):
-    """The guide-table cell search returns the binary search's count for
-    random words and for every edge word: 0, each threshold and its
-    neighbours, and MASK64."""
-    rho = emitted_state(SourceConfig(gain_down=0.7, overlap_mu=0.8))
-    det = DetectorConfig(0.6, 0.6, b1, b2)
-    tables = counting._build_tables(pair_click_probs(rho, 0.3, 0.9, det), det, 12345, lam)
-    cdf = tables.cell_cdf
-    random_words = np.random.default_rng(10).integers(0, 1 << 64, 100_000, np.uint64,
-                                                      endpoint=False)
-    with np.errstate(over="ignore"):
-        edges = np.concatenate((cdf, cdf - np.uint64(1), cdf + np.uint64(1)))
-    u = np.concatenate((random_words, edges, np.array([0, rng.MASK64], np.uint64)))
-    assert cdf.size > 1 and cdf[-1] == rng.MASK64
-    got = counting._cell_search(tables, u, counting._Workspace())
-    np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
-
-
-# CountRecords of the binary-search kernel (commit 5ec5187), which the guide
-# lookup and the serial chunk loop must repeat exactly.
-_FIG3_RECORD = CountRecord(1_000_000, 5668, 5097, 915, 27)
-_DENSE_RECORD = CountRecord(200_000, 90932, 81547, 48857, 37001)
+# CountRecords of the three-threshold pattern draw, which every chunk size and
+# worker count must repeat exactly.
+_FIG3_RECORD = CountRecord(1_000_000, 5801, 5171, 892, 39)
+_DENSE_RECORD = CountRecord(200_000, 90992, 81666, 48891, 37319)
 
 
 @pytest.mark.parametrize("workers, chunk", [(1, None), (2, None), (1, 77_777), (2, 77_777)])
-def test_counts_pinned_to_binary_search_kernel(workers, chunk):
+def test_counts_pinned_to_pattern_threshold_kernel(workers, chunk):
     fig3 = fig3_experiment(n_pulses=1_000_000, workers=workers)
     rec = simulate_run(fig3.source, 30 * DEG, 45 * DEG, fig3.detector, fig3.run, chunk_size=chunk)
     assert rec == _FIG3_RECORD
@@ -520,8 +519,8 @@ def test_concurrent_runs_in_threads_match_serial_runs():
 @pytest.mark.parametrize("setting", ["fig3", "dense"])
 def test_default_chunk_workspace_stays_under_2_mib(setting):
     """A fresh thread's workspace after one default-chunk run totals under
-    2 MiB: the grid-sized buffers are reused for positions, cell indices and
-    thresholds instead of each taking its own."""
+    2 MiB: the grid-sized buffers are reused for positions and event draws
+    instead of each taking its own."""
     fig3 = fig3_experiment()
     src, det, run = fig3.source, fig3.detector, fig3.run
     if setting == "dense":
@@ -572,29 +571,31 @@ def test_warm_kernel_allocates_no_chunk_sized_array(setting):
 
 # --- pinned records ----------------------------------------------------------------
 
-# Captured at commit 555c339: the SHA-256 over the records of the 136 runs of
-# _digest_runs, one line each in _record_line's format, and the first 8 hex
-# digits of each line's own SHA-256, which locate the first record that
-# changed.  A change that alters counts on purpose recaptures both.
-_RECORDS_SHA256 = "a193f71f19183682b9a0ebcfd2650bbf0e4ea8832e8ee63a3c5859735c132027"
+# Captured when each event's click pattern came to be drawn against three
+# thresholds instead of a Poisson table of (pair number, D1, D2) cells: the
+# SHA-256 over the records of the 136 runs of _digest_runs, one line each in
+# _record_line's format, and the first 8 hex digits of each line's own SHA-256,
+# which locate the first record that changed.  A change that alters counts on
+# purpose recaptures both.
+_RECORDS_SHA256 = "20c9a6fa1d9024a484eeeb5b3052be7d044bb46bf0d3a94d6027ec54ee4da7e8"
 _RECORD_TAGS = (
-    "eefb55b277f565d2f1e6a28ad0e9e4e0234d572325ae940e80cef918b83e8772"
-    "1153b94c0553ffc8e68ca4aa8c3580df8e70c07caf0ae84fa748997ad62604cc"
-    "a0195c6d9d5f0fd7a19ddbc52f583aca395ec4c0339642db1133ccb6d91bca98"
-    "a614e1254ad0a53ff63e3b0c192ed74d8a5690cb4e7e20e29bfd8e2e6db78a73"
-    "b25f59a172f0735dcbe8f51a98c2ab96c83ed7ccddea9bccd39ca0176161d140"
-    "6ff5038002e09aafa7f017c25789a8f6f44c27b70722c8ba131ada2d1fac155a"
-    "199c8869faebbc572ad769c94d72e738efda95378049942d8962881ec300fa97"
-    "9394e823338b09da70581fd2b112e1cf9dc00f526fa3334b15cf83abf8b738de"
-    "ac6996d73a032deb32d4ed6208efda7c4880e181aedb00f57c5c10f9e6eb7c18"
-    "bd0a5cf85d54ef594763b908a8b3381b0da44e18aa4471fc4a7d3edd64c2d97d"
-    "ec955aec21d6cd1fc6ebab5b61703db8935a10c8cb79fda840f5699060f730ce"
-    "1704997184a7c09cadac52b9ecd0b7811442840b99ed5f6ba053befa01b0aa7a"
-    "bb5ecb997bc022d5a52f0afc19e1024589aaf56f083b447099e0e5911b22390b"
-    "455ce4ee425ff845b457e0534d438695203e576458b4f5e1ee81146b1108f8b3"
-    "a004291cde75e480b6817e60fae0a4ec3111d26e1107986253af4166fa95f2bc"
-    "72460449541db6299caccc7ca36893fd4753de336189ed865494fc34edef0ae5"
-    "bf617acbd96c2f87707eacbe9d2ee49db3d372ff9732370538d026d427070295"
+    "6f435681f9b3d119615274a0799d6828b0550a96392f5ab5979e7beae120fe76"
+    "1625bb2989fac382973b478f26912d6a7841f535b53961db58cf0d9d4f496f0f"
+    "0460485dd24944a720bada8c935aafa5b6ebffb9f31590de9c46adf12c6954ca"
+    "2e7faf302b1e096112f37d4d9da514c1cff2ff858f82d289dc213b67db933204"
+    "6dab98f737acc78cc5a569dc9815efd4c055a63da622b050b6b5eca794e015a4"
+    "5fbd95890eb918a57a13ecf65fd784700cec65967c9302fbbbb09703c9539897"
+    "4a6c3f5f9f8ae730c899ffa416b48225a7d03f089e25fe16e4bbaf1b88b4ac6c"
+    "a65cacb940e54320a02c479223c518a14f3a15149e62728a6e92590788ac5f25"
+    "fe5e1ce256bc76d0f95db9871b82782982b11010ca3c0f809ae9774753a3e837"
+    "24f984085104218f7100889f46602b360c36d60c5d06ee20e62fa8af3b752bef"
+    "8410292535c64ed75277e34fea5c3bf4e6623a5ae4b97e24edb69357c5d4f1eb"
+    "a536580356dc64e60ef411221a1f19867d6ebd97f5324a9e37467704a8091aeb"
+    "5fe00ce7d51f18b8a65e5209437d4be4efd40d46dd27ce127dab82c19e190826"
+    "605733c41a2de53b3fa9b118a51d08a28bb4019ba52a841e947069e65a07e578"
+    "95642f7a44bf1b745de1109c4b11f29e2eeaf8d6b4627f64446ec4441e980c70"
+    "751f122126d4d5e81b7d6025aced1b33b446160ec1dc6c1f0e721e15feef5a5a"
+    "c61939ece971d552b2a3c09405fce40217a1d885615d7bcfe23d7bad6d4e705f"
 )
 
 

@@ -26,15 +26,17 @@ P(neither) = (1 - b1)(1 - b2) exp(-lambda (s1 + s2 - s12)).  The Monte Carlo
 visits only event pulses: those with at least one pair or a background
 click, P(event) = 1 - (1 - b1)(1 - b2) exp(-lambda).  Their positions come
 from geometric gaps between events, drawn from a block-level counter stream
-keyed by (seed, block of 4096 pulses, word index).  Each event pulse takes
-whether D1 and D2 click in one 64-bit draw u keyed by (seed, pulse index,
-draw index).  Three thresholds t0 <= t1 <= t2 split the draws into the click
-patterns given an event, in the order no click, D1 only, both, D2 only, so
-D1 clicks if t0 <= u < t2 and D2 if u >= t1: three compares against scalars
-per event, with no table to search.  Chunks of whole blocks run one after
-another in a single thread.  A run is therefore bit-reproducible regardless
-of chunking or worker count, and its cost grows with the number of event
-pulses, not of pulses or pairs.
+keyed by (seed, block, word index), where a block is about 2**15 expected
+event pulses, so its length depends on P(event) alone.  Each event pulse
+takes whether D1 and D2 click in one 64-bit draw u keyed by (seed, pulse
+index, draw index).  Three thresholds t0 <= t1 <= t2 split the draws into
+the click patterns given an event, in the order no click, D1 only, both, D2
+only, so D1 clicks if t0 <= u < t2 and D2 if u >= t1: three compares against
+scalars per event, with no table to search.  Each block is one chunk, the
+run's last one possibly cut short, and the chunks run one after another in
+a single thread.  A run is therefore bit-reproducible regardless of chunk
+size or worker count, and its cost grows with the number of event pulses,
+not of pulses or pairs.
 
 A scan (:func:`simulate_scan`) is one run per analyzer-1 angle, point i
 seeded by ``rng.derive_seed(seed, i)``.  The emitted state and the click
@@ -46,11 +48,10 @@ Every chunk-sized intermediate is written with ``out=`` into flat buffers of
 one workspace per thread, which every chunk of a run and every later run on
 that thread reuse, so a warm run allocates no chunk-sized array and faults in
 no new pages.  A buffer that is dead by the time a later stage runs serves
-that stage too: the gap words become positions in place, and the event
-draws take the words' buffer once the positions are compacted.  A buffer is
-kept only up to the largest first-pass gap grid of a default chunk,
-``_CACHE_WORDS`` 8-byte items; a larger one, which only an explicit
-``chunk_size`` asks for, is a new array that the workspace drops.
+that stage too: the gap words become positions in place, and the positions
+below the block's end, a prefix of one rising row, are the chunk's events
+with no copy.  One pass draws at most ``rng.ROW_WORDS`` words, so the
+buffers stay near that size whatever the event chance.
 """
 
 from __future__ import annotations
@@ -249,21 +250,11 @@ def subtract_accidentals(rec: CountRecord) -> float:
 
 # --- Monte Carlo engine ----------------------------------------------------
 
-# The event stream is keyed per block of pulses; chunk bounds fall on block
-# bounds, so a chunk never needs a block's gaps that another chunk drew.
-_BLOCK_BITS = 12
-_BLOCK = 1 << _BLOCK_BITS
-# expected event pulses in one default chunk
+# expected event pulses in one block, the event stream's unit and one chunk
 _CHUNK_EVENTS = 1 << 15
 # Gap draws resolve U to steps of 2**-53, so they cannot place events rarer
 # than that; a pulse's event chance below it counts as none.
 _GAP_RESOLUTION = 2.0**-53
-# Words in the first-pass gap grid (blocks x gap words) of the largest default
-# chunk: 2**15 blocks of at most 7 words, at about one event per block.  The
-# workspace keeps no buffer of more 8-byte items than this.
-_CACHE_WORDS = 7 * _CHUNK_EVENTS
-# positions per batch of the event compaction: 32 KiB of float64
-_COMPACT_ITEMS = 1 << 12
 
 
 def _event_patterns(
@@ -295,11 +286,19 @@ def _event_patterns(
     ])
 
 
-def _gap_words(p_event: float) -> int:
-    """Gap words drawn per block and pass: one more than the block's expected
-    events plus four standard deviations, so few blocks need a second pass."""
-    mean = _BLOCK * p_event
-    return min(int(mean + 4.0 * np.sqrt(mean * (1.0 - p_event))) + 2, _BLOCK + 1)
+def _block_pulses(p_event: float) -> int:
+    """Pulses per block: about ``_CHUNK_EVENTS`` expected event pulses, at
+    most ``MAX_N_PULSES``.  It depends on the event chance alone, not on the
+    run's length or chunking."""
+    return int(min(_CHUNK_EVENTS / max(p_event, _GAP_RESOLUTION), MAX_N_PULSES))
+
+
+def _gap_words(p_event: float, pulses: float) -> int:
+    """Gap words one pass draws for ``pulses`` pulses: their expected events
+    plus four standard deviations and 2, so few blocks need a second pass,
+    and at most ``pulses + 1``, which always run past the last pulse."""
+    mean = pulses * p_event
+    return int(min(mean + 4.0 * math.sqrt(mean * (1.0 - p_event)) + 2.0, pulses + 1))
 
 
 @dataclass(frozen=True)
@@ -309,7 +308,7 @@ class _PulseTables:
     key: int  # pulse stream: per-event draws
     block_key: int  # block stream: event positions
     log_q: float  # ln P(no pair and no background click) for one pulse
-    gap_words: int
+    block: int  # pulses per block of the block stream, and per chunk
     # uint64 thresholds t0 <= t1 <= t2 of an event's draw u over the patterns
     # no click, D1 only, both, D2 only: D1 clicks if t0 <= u < t2, D2 if u >= t1
     thresholds: np.ndarray
@@ -330,7 +329,7 @@ def _build_tables(probs, det: DetectorConfig, seed: int, lam: float) -> _PulseTa
         key=rng.stream_key(seed),
         block_key=rng.block_stream_key(seed),
         log_q=log_q,
-        gap_words=_gap_words(-np.expm1(log_q)),
+        block=_block_pulses(-math.expm1(log_q)),
         thresholds=thresholds,
     )
 
@@ -340,9 +339,8 @@ class _Workspace:
 
     ``take(name, n, dtype)`` returns the first ``n`` items of buffer
     ``name``, replacing the buffer by a larger one when it is too short; a
-    name always comes with the same dtype.  A request over ``_CACHE_WORDS``
-    8-byte items gets a new array that the workspace does not keep, so a
-    huge ``chunk_size`` cannot pin memory.
+    name always comes with the same dtype.  Every request is bounded by one
+    block's events, so the buffers stay near ``rng.ROW_WORDS`` items.
     """
 
     def __init__(self) -> None:
@@ -351,9 +349,7 @@ class _Workspace:
     def take(self, name: str, n: int, dtype) -> np.ndarray:
         buf = self._bufs.get(name)
         if buf is None or buf.size < n:
-            buf = np.empty(n, dtype)
-            if buf.nbytes <= _CACHE_WORDS * 8:
-                self._bufs[name] = buf
+            buf = self._bufs[name] = np.empty(n, dtype)
         return buf[:n]
 
 
@@ -361,7 +357,7 @@ _thread = threading.local()
 
 
 def _thread_workspace() -> _Workspace:
-    """This thread's workspace, kept across runs and bounded by ``_CACHE_WORDS``.
+    """This thread's workspace, kept across runs.
 
     Freed chunk-sized temporaries let the allocator hand their pages back to
     the OS, to be faulted in again by the next chunk; buffers that outlive
@@ -374,30 +370,28 @@ def _thread_workspace() -> _Workspace:
 
 
 def _gap_pass(
-    tables: _PulseTables, keys: np.ndarray, last: np.ndarray, first_word: int, ws: _Workspace
+    tables: _PulseTables,
+    block: int,
+    first_word: int,
+    last: float,
+    words: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
-    """Event positions from gap words ``first_word`` on, one row per block, as a grid in ``ws``.
+    """Event positions after ``last`` from gap words ``first_word`` on of
+    block ``block``, one per item of ``words``, as a rising row.
 
     The positions overwrite the words they come from, as a float64 view of
-    the "words" buffer.
-
-    Row r continues from ``last[r]`` by ``gap_words`` geometric gaps
-    floor(ln U / ln q) + 1, each from one word w of block key ``keys[r]``,
-    with U = 1 - (w >> 11) 2**-53 in (0, 1].  w >> 11 is below 2**53, so its
-    int64 view converts to float64 exactly, and the scaled value is exactly
+    ``words``; ``scratch`` has ``words``' shape.  Each step is a geometric
+    gap floor(ln U / ln q) + 1 from one word w, with
+    U = 1 - (w >> 11) 2**-53 in (0, 1].  w >> 11 is below 2**53, so its int64
+    view converts to float64 exactly, and the scaled value is exactly
     -(w >> 11) 2**-53.  Steps are whole numbers of at least 1 and ``last``
-    is one too, so every partial sum below 2**53 is exact in any order, and
-    one at or above it rounds to at least 2**53, past every block end:
-    adding ``last`` to the first step gives the positions that adding it to
-    each sum gives, wherever they can count.
+    is one too, so every partial sum below 2**53 is exact, and one at or
+    above it rounds to at least 2**53, past every block end: a later pass
+    that starts from a row's last position gives the positions that one
+    longer pass gives, wherever they can count.
     """
-    shape = (keys.size, tables.gap_words)
-    size = shape[0] * shape[1]
-    words = ws.take("words", size, np.uint64).reshape(shape)
-    scratch = ws.take("scratch", size, np.uint64).reshape(shape)
-    index = np.arange(first_word, first_word + tables.gap_words, dtype=np.uint64)
-    np.copyto(words, keys[:, None])
-    rng.draw_at(words, index, out=words, scratch=scratch)
+    rng.block_words(tables.block_key, block, first_word, out=words, scratch=scratch)
     np.right_shift(words, np.uint64(11), out=scratch)
     pos = words.view(np.float64)
     np.copyto(pos, scratch.view(np.int64))
@@ -407,81 +401,36 @@ def _gap_pass(
     pos /= tables.log_q
     np.floor(pos, out=pos)
     pos += 1.0
-    pos[:, 0] += last
-    return pos.cumsum(axis=1, out=pos)
-
-
-def _compact(pos: np.ndarray, ends: np.ndarray, out: np.ndarray, ws: _Workspace) -> int:
-    """Copy each row's positions below its block end, in order, to the front
-    of ``out``; returns how many.
-
-    Rows rise, so a row's kept positions are a prefix.  Rows longer than
-    half of ``_COMPACT_ITEMS`` (event chances above about one half) are few,
-    and each finds its prefix by a binary search, which reads no other
-    position; at λ = 2 that is about 5 % of a run faster than the mask.
-    Shorter rows go through a mask, in batches of whole rows of at most
-    ``_COMPACT_ITEMS`` positions: boolean indexing has no ``out``, so only
-    a batch's selection is a new array.  The block ends are first copied
-    out to ``pos``'s shape, since comparing against their broadcast column
-    would take an iterator buffer of up to 64 KiB.
-    """
-    rows = _COMPACT_ITEMS // pos.shape[1]
-    found = 0
-    if rows < 2:
-        for row, end in zip(pos, ends.tolist()):
-            count = int(row.searchsorted(end))
-            out[found : found + count] = row[:count]
-            found += count
-        return found
-    limit = ws.take("scratch", pos.size, np.uint64).view(np.float64).reshape(pos.shape)
-    np.copyto(limit, ends[:, None])
-    kept = np.less(pos, limit, out=ws.take("mask", pos.size, np.bool_).reshape(pos.shape))
-    for r in range(0, pos.shape[0], rows):
-        batch = pos[r : r + rows][kept[r : r + rows]]
-        out[found : found + batch.size] = batch
-        found += batch.size
-    return found
+    pos[0] += last
+    return pos.cumsum(out=pos)
 
 
 def _event_pulses(tables: _PulseTables, lo: int, hi: int, ws: _Workspace) -> np.ndarray:
     """Sorted indices of the pulses in [lo, hi) with a pair or a background click.
 
-    ``lo`` is a block bound and ``hi`` a block bound or the end of the run.
-    Word j of block b gives the geometric gap floor(ln U / ln q) between event
-    pulses, U in (0, 1]; a block whose words run out before it ends draws the
-    next ones by word index, so the events depend only on (seed, block, word).
-    The indices are float64, exact below 2**53, in a view into ``ws``.
+    ``lo`` is a block bound and ``hi`` the next one or the end of the run.
+    Word j of the block gives the geometric gap floor(ln U / ln q) between
+    event pulses, U in (0, 1].  A block whose words run out before it ends
+    draws the next ones by word index and appends them, which is rare and
+    allocates, so the events depend only on (seed, block, word).  Such a
+    pass draws as many words as all before it, up to ``rng.ROW_WORDS``, so
+    a block takes few passes and copies few words, however short
+    ``_gap_words`` falls.
+    The indices are float64, exact below 2**53, and after one pass a view
+    into ``ws``.
     """
     if tables.log_q == 0.0:
-        return ws.take("events", 0, np.float64)
-    first_block = lo >> _BLOCK_BITS
-    n_blocks = -(-hi >> _BLOCK_BITS) - first_block
-    keys = np.arange(first_block, first_block + n_blocks, dtype=np.uint64)
-    last = ws.take("last", n_blocks, np.float64)  # last position drawn per block
-    np.copyto(last, keys)
-    last *= _BLOCK
-    ends = np.add(last, _BLOCK, out=ws.take("ends", n_blocks, np.float64))
-    np.minimum(ends, hi, out=ends)
-    last -= 1.0
-    scratch = ws.take("scratch", n_blocks, np.uint64)
-    rng.pulse_keys(tables.block_key, keys, out=keys, scratch=scratch)
-    events = ws.take("events", n_blocks * tables.gap_words, np.float64)
-    found = 0
-    first_word = 0
-    while True:
-        pos = _gap_pass(tables, keys, last, first_word, ws)
-        if found + pos.size > events.size:  # a later pass, past the buffer
-            events = np.concatenate((events[:found], np.empty(pos.size)))
-        found += _compact(pos, ends, events[found:], ws)
-        more = pos[:, -1] < ends
-        if not more.any():
-            break
-        keys, last, ends = keys[more], pos[more, -1], ends[more]
-        first_word += tables.gap_words
-    events = events[:found]
-    if first_word:
-        events.sort()  # a later pass appends a block's later events behind other blocks
-    return events
+        return ws.take("words", 0, np.uint64).view(np.float64)
+    block, p_event = lo // tables.block, -math.expm1(tables.log_q)
+    words = _gap_words(p_event, hi - lo)
+    events = _gap_pass(tables, block, 0, lo - 1.0, ws.take("words", words, np.uint64),
+                       ws.take("scratch", words, np.uint64))
+    while events[-1] < hi:  # the words ran out before the block did
+        words = min(max(_gap_words(p_event, hi - 1 - events[-1]), events.size), rng.ROW_WORDS)
+        more = _gap_pass(tables, block, events.size, events[-1], np.empty(words, np.uint64),
+                         np.empty(words, np.uint64))
+        events = np.concatenate((events, more))
+    return events[: events.searchsorted(hi)]
 
 
 def _run_chunk(
@@ -494,7 +443,7 @@ def _run_chunk(
     n = events.size
     if n == 0:
         return 0, 0, 0, 0, False, False
-    keys = ws.take("words", n, np.uint64)
+    keys = ws.take("keys", n, np.uint64)
     scratch = ws.take("scratch", n, np.uint64)
     # whole numbers below 2**53: the cast to int64 is exact, and faster than to uint64
     np.copyto(keys.view(np.int64), events, casting="unsafe")
@@ -509,7 +458,7 @@ def _run_chunk(
     both = np.logical_and(d1, d2, out=ws.take("mask", n, np.bool_))
     coincidences = int(np.count_nonzero(both))
     # D1 at one event pulse and D2 at the next, when that is the next pulse
-    after = np.add(events[:-1], 1.0, out=ws.take("pos", n - 1, np.float64))
+    after = np.add(events[:-1], 1.0, out=scratch[:-1].view(np.float64))
     delayed = np.equal(events[1:], after, out=both[:-1])
     np.logical_and(delayed, d1[:-1], out=delayed)
     np.logical_and(delayed, d2[1:], out=delayed)
@@ -524,22 +473,10 @@ def _run_chunk(
     )
 
 
-def _chunk_blocks(p_event: float, chunk_size: int | None) -> int:
-    """Whole blocks per chunk: ``chunk_size`` pulses rounded up, or by default
-    about ``_CHUNK_EVENTS`` expected event pulses."""
-    if chunk_size is None:
-        return max(1, int(_CHUNK_EVENTS / max(_BLOCK * p_event, 1.0)))
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    return -(-chunk_size >> _BLOCK_BITS)
-
-
-def _count_run(
-    tables: _PulseTables, n: int, chunk_size: int | None, ws: _Workspace
-) -> CountRecord:
-    """Tallies of one run of ``n`` pulses, chunk by chunk."""
-    step = _chunk_blocks(-np.expm1(tables.log_q), chunk_size) * _BLOCK
-    results = [_run_chunk(tables, lo, min(lo + step, n), ws) for lo in range(0, n, step)]
+def _count_run(tables: _PulseTables, n: int, ws: _Workspace) -> CountRecord:
+    """Tallies of one run of ``n`` pulses, one chunk per block."""
+    block = tables.block
+    results = [_run_chunk(tables, lo, min(lo + block, n), ws) for lo in range(0, n, block)]
     singles1, singles2, coincidences, accidentals, *_ = map(sum, zip(*results))
     # delayed windows spanning a chunk boundary: D1 on the last pulse of one
     # chunk against D2 on the first pulse of the next
@@ -554,7 +491,6 @@ def _simulate(
     det: DetectorConfig,
     run: RunConfig,
     seed_of,
-    chunk_size: int | None = None,
 ) -> list[CountRecord]:
     """One record per analyzer-1 angle (a scalar is one angle), run i seeded
     by ``seed_of(i)``.  Every angle is checked, and the state and all click
@@ -568,7 +504,7 @@ def _simulate(
     rows = np.stack(probs, -1).reshape(-1, 3).tolist()
     lam, ws = cfg.mean_pairs_per_pulse, _thread_workspace()
     return [
-        _count_run(_build_tables(p, det, seed_of(i), lam), run.n_pulses, chunk_size, ws)
+        _count_run(_build_tables(p, det, seed_of(i), lam), run.n_pulses, ws)
         for i, p in enumerate(rows)
     ]
 
@@ -584,21 +520,23 @@ def simulate_run(
     """Simulate ``run.n_pulses`` windows and tally counts.
 
     Only pulses with a pair or a background click are visited.  Their
-    positions are keyed by (seed, block of 4096 pulses, word); each such
-    pulse draws whether D1 and D2 click in one draw keyed by (seed, pulse,
-    draw), compared with three thresholds built on :func:`pair_click_probs`,
-    so no pair is counted and no photon is routed one by one.  The result
-    depends only on (seed, configs): chunk size only sets the memory of one
-    chunk, and ``run.workers`` has no effect, because the chunks run one after
-    another in this thread, in this thread's workspace.  The counts for a
-    given seed differ from those of earlier samplers, which drew each event's
-    pair number or routed every pair photon by photon; their statistics do
-    not.  Chunks are whole blocks
-    (``chunk_size`` is rounded up to one); by default a chunk holds about
-    32 k expected event pulses.  Non-finite analyzer angles raise
+    positions are keyed by (seed, block, word), a block being about 32 k
+    expected event pulses; each such pulse draws whether D1 and D2 click in
+    one draw keyed by (seed, pulse, draw), compared with three thresholds
+    built on :func:`pair_click_probs`, so no pair is counted and no photon
+    is routed one by one.  Each block is one chunk, and the chunks run one
+    after another in this thread, in this thread's workspace.  The result
+    depends only on (seed, configs): ``chunk_size``, a positive int or
+    ``None``, is kept for compatibility and has no effect, as
+    ``run.workers`` has none.  The counts for a given seed differ from
+    those of earlier samplers, which drew each event's pair number, placed
+    events in blocks of 4096 pulses or routed every pair photon by photon;
+    their statistics do not.  Non-finite analyzer angles raise
     ``ValueError``.  This is the one-angle case of :func:`simulate_scan`.
     """
-    return _simulate(cfg, theta1, theta2, det, run, lambda i: run.seed, chunk_size)[0]
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    return _simulate(cfg, theta1, theta2, det, run, lambda i: run.seed)[0]
 
 
 def simulate_scan(

@@ -29,7 +29,15 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _PULSE_GAMMA_U64 = np.uint64(PULSE_GAMMA)
-_DRAW_GAMMA_U64 = np.uint64(DRAW_GAMMA)
+
+# Words one block_words call may return: a pass over a block of the event
+# stream draws at most 2**15 expected words plus four standard deviations and
+# 2, which is 33 494.
+ROW_WORDS = (1 << 15) + (1 << 10)
+# (j + 1) DRAW_GAMMA mod 2**64, the draw offset of word j of a row; scaled in
+# place, since a product's temporary would add to every process's peak memory
+_ROW_OFFSETS = np.arange(1, ROW_WORDS + 1, dtype=np.uint64)
+_ROW_OFFSETS *= np.uint64(DRAW_GAMMA)
 
 
 def mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -63,7 +71,8 @@ def block_stream_key(seed: int) -> int:
     """Whiten a user seed into the base key of the block-level stream.
 
     Blocks are keyed like pulses (:func:`pulse_keys`) and their words drawn
-    like draws (:func:`draw_at`), from a base key apart from :func:`stream_key`.
+    like draws (:func:`draw_at`), from a base key apart from :func:`stream_key`;
+    :func:`block_words` gives a run of one block's words.
     """
     return mix64_int((seed & MASK64) + BLOCK_GAMMA)
 
@@ -91,28 +100,33 @@ def pulse_keys(
 
 def draw_at(
     keys: np.ndarray,
-    draw_indices: np.ndarray | int,
+    draw_index: int,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Uniform uint64 draws, one per pulse key and draw index.
+    """Uniform uint64 draws, draw number ``draw_index`` of every pulse key.
 
-    ``draw_indices`` is one index for all keys, as an int, or a uint64 array
-    that broadcasts against ``keys``: per element, one index for all keys,
-    or a row of indices for a column of keys.  ``out`` (which may be
-    ``keys`` itself) receives the draws and ``scratch``, of the keys' shape,
-    serves :func:`mix64`; both default to new arrays.
+    ``out`` (which may be ``keys`` itself) receives the draws and
+    ``scratch``, of the keys' shape, serves :func:`mix64`; both default to
+    new arrays.
     """
-    if isinstance(draw_indices, int):
-        # a scalar offset takes no iterator buffer; Python ints wrap without
-        # the overflow warning of numpy scalar arithmetic
-        off = np.uint64((draw_indices + 1) * DRAW_GAMMA & MASK64)
-        return mix64(np.add(keys, off, out=out), scratch)
-    off = draw_indices + np.uint64(1)
-    off *= _DRAW_GAMMA_U64
-    if scratch is not None:
-        # numpy gives a ufunc's broadcast operand an iterator buffer of up to
-        # 64 KiB per call; a broadcasting copy takes none
-        np.copyto(scratch, off)
-        off = scratch
+    # Python ints wrap without the overflow warning of numpy scalar arithmetic
+    off = np.uint64((draw_index + 1) * DRAW_GAMMA & MASK64)
     return mix64(np.add(keys, off, out=out), scratch)
+
+
+def block_words(
+    key: int, block: int, first_word: int, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Words ``first_word``, ``first_word + 1``, ... of block ``block`` of the
+    block-level stream with base key ``key``, as many as ``out`` holds, at
+    most ``ROW_WORDS``.
+
+    Word j equals ``draw_at(pulse_keys(key, [block]), j)``: the block's key
+    is one scalar, and the draw offsets come from a table built once, so no
+    index array is formed per call.  ``scratch``, of ``out``'s shape, serves
+    :func:`mix64`.
+    """
+    row_key = mix64_int(block * PULSE_GAMMA + key)
+    start = np.uint64((row_key + first_word * DRAW_GAMMA) & MASK64)
+    return mix64(np.add(_ROW_OFFSETS[: out.size], start, out=out), scratch)

@@ -123,17 +123,18 @@ def enumerated_exact_rates(rho4, theta1, theta2, lam, det):
     The pairs of one pulse are Poisson(lam) and independent, so the pairs
     clicking D1, D2 or both are thinned Poisson variables:
     P(no D1) = (1 - b1) exp(-lam s1) and
-    P(neither) = (1 - b1)(1 - b2) exp(-lam (s1 + s2 - s12)).
+    P(neither) = (1 - b1)(1 - b2) exp(-lam (s1 + s2 - s12)).  Each click
+    probability is -expm1 of its survival's log, so none is a difference of
+    near-equal terms at small lam, and P(both) = P(D1) + P(D2) - P(either).
     """
     s1, s2, both = enumerated_pair_rates(
         rho4, theta1, theta2, det.efficiency1, det.efficiency2
     )
-    b1, b2 = det.background_prob1, det.background_prob2
-    q1 = (1.0 - b1) * np.exp(-lam * s1)
-    q2 = (1.0 - b2) * np.exp(-lam * s2)
-    q0 = (1.0 - b1) * (1.0 - b2) * np.exp(-lam * (s1 + s2 - both))
-    p1, p2 = 1.0 - q1, 1.0 - q2
-    return p1, p2, 1.0 - q1 - q2 + q0, p1 * p2
+    l1, l2 = np.log1p(-det.background_prob1), np.log1p(-det.background_prob2)
+    p1 = -np.expm1(l1 - lam * s1)
+    p2 = -np.expm1(l2 - lam * s2)
+    p_either = -np.expm1(l1 + l2 - lam * (s1 + s2 - both))
+    return p1, p2, p1 + p2 - p_either, p1 * p2
 
 
 def poisson_pattern_probs(lam, b1, b2, s1, s2, s12):

@@ -325,39 +325,68 @@ def test_simulate_scan_equals_per_point_runs(scenario):
 
 # --- event sampler ----------------------------------------------------------------
 
-@pytest.mark.parametrize("words_per_pass", [1, 3, counting._BLOCK + 1])
+
+def _tables(cfg, det, seed=12345):
+    """Sampling tables of a run at analyzer angles 0, 0."""
+    probs = pair_click_probs(emitted_state(cfg), 0.0, 0.0, det)
+    return counting._build_tables(probs, det, seed, cfg.mean_pairs_per_pulse)
+
+
+@pytest.mark.parametrize("words_per_pass", [1, 3, 4097, rng.ROW_WORDS])
 def test_event_positions_do_not_depend_on_gap_word_oversupply(monkeypatch, words_per_pass):
-    n = 3 * counting._BLOCK + 123
-    cases = [  # sparse, moderate, background only, dense (rows of over 2048 words)
+    """Each run spans three blocks and 123 pulses of a fourth."""
+    cases = [  # sparse, moderate, background only, dense
         (SourceConfig(mean_pairs_per_pulse=0.01), DetectorConfig(0.6, 0.6, 2.6e-3, 2.6e-3)),
         (SourceConfig(gain_down=0.7, mean_pairs_per_pulse=0.5), DetectorConfig(0.5, 0.7, 1e-2, 0.0)),
         (SourceConfig(mean_pairs_per_pulse=0.0), DetectorConfig(0.6, 0.6, 0.3, 0.2)),
         _DENSE,
     ]
-    runs = [(cfg, det, RunConfig(n, seed=31 + i)) for i, (cfg, det) in enumerate(cases)]
+    runs = [(cfg, det, RunConfig(3 * _tables(cfg, det).block + 123, seed=31 + i))
+            for i, (cfg, det) in enumerate(cases)]
     expected = [simulate_run(cfg, 0.2, 0.9, det, run) for cfg, det, run in runs]
-    monkeypatch.setattr(counting, "_gap_words", lambda p_event: words_per_pass)
+    monkeypatch.setattr(counting, "_gap_words", lambda p_event, pulses: words_per_pass)
     assert [simulate_run(cfg, 0.2, 0.9, det, run) for cfg, det, run in runs] == expected
+
+
+def test_later_gap_passes_stop_growing_at_the_row_table(monkeypatch):
+    """A pass after the first draws as many words as all before it, but no
+    more than the row table holds, here cut to 64 words so that most passes
+    hit it."""
+    cfg, det = _DENSE
+    run = RunConfig(_tables(cfg, det).block + 123, seed=5)
+    expected = simulate_run(cfg, 0.2, 0.9, det, run)
+    monkeypatch.setattr(counting, "_gap_words", lambda p_event, pulses: 1)
+    monkeypatch.setattr(rng, "ROW_WORDS", 64)
+    monkeypatch.setattr(rng, "_ROW_OFFSETS", rng._ROW_OFFSETS[:64])
+    assert simulate_run(cfg, 0.2, 0.9, det, run) == expected
 
 
 @pytest.mark.parametrize("lam, b1, b2", [(0.01, 2.6e-3, 2.6e-3), (2.0, 1e-3, 1e-3), (0.0, 0.05, 0.0)])
 def test_event_pulse_count_is_binomial(lam, b1, b2):
     n = 1_000_000
-    cfg = SourceConfig(mean_pairs_per_pulse=lam)
-    det = DetectorConfig(0.6, 0.6, b1, b2)
-    probs = pair_click_probs(emitted_state(cfg), 0.0, 0.0, det)
-    tables = counting._build_tables(probs, det, 77, lam)
-    events = counting._event_pulses(tables, 0, n, counting._Workspace())
-    assert events.size == 0 or (events[0] >= 0 and events[-1] < n)
-    assert np.all(np.diff(events) > 0)
+    tables = _tables(SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, b1, b2), 77)
+    ws, count = counting._Workspace(), 0
+    for lo in range(0, n, tables.block):
+        hi = min(lo + tables.block, n)
+        events = counting._event_pulses(tables, lo, hi, ws)
+        assert events.size == 0 or (events[0] >= lo and events[-1] < hi)
+        assert np.all(np.diff(events) > 0)
+        count += events.size
     p_event = 1 - (1 - b1) * (1 - b2) * np.exp(-lam)
-    assert _binomial_ok(events.size, n, p_event), (events.size, n * p_event)
+    assert _binomial_ok(count, n, p_event), (count, n * p_event)
 
 
-@pytest.mark.parametrize("n", [1, counting._BLOCK - 1, 3 * counting._BLOCK + 123])
+_UNALIGNED = (SourceConfig(gain_down=0.8, overlap_mu=0.9, mean_pairs_per_pulse=0.3),
+              DetectorConfig(0.5, 0.7, 0.2, 0.3))
+_UNALIGNED_BLOCK = _tables(*_UNALIGNED).block
+
+
+@pytest.mark.parametrize(
+    "n", [1, 4095, 12_411, _UNALIGNED_BLOCK - 1, 3 * _UNALIGNED_BLOCK + 123])
 def test_records_match_across_block_unaligned_chunks(n):
-    cfg = SourceConfig(gain_down=0.8, overlap_mu=0.9, mean_pairs_per_pulse=0.3)
-    det = DetectorConfig(0.5, 0.7, 0.2, 0.3)
+    """Short runs inside one block, and runs that end a pulse short of a
+    block bound or 123 pulses past the third."""
+    cfg, det = _UNALIGNED
     run = RunConfig(n, seed=4)
     expected = simulate_run(cfg, 0.2, 0.9, det, run)
     for chunk in (1, 777, 4096, 10_000):
@@ -416,22 +445,38 @@ def test_event_patterns_match_poisson_sum(lam, b1, b2):
         assert np.isclose(got.sum(), -np.expm1(np.log1p(-b1) + np.log1p(-b2) - lam), rtol=1e-15)
 
 
+def test_exact_rate_oracle_matches_poisson_sum_at_small_lambda():
+    """At lam = 1e-6, where 1 - exp(-lam s) loses nine digits, the closed-form
+    oracle equals the sum over the pair number to 1e-12 relative."""
+    lam = 1e-6
+    cfg = SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=lam)
+    rho = emitted_state(cfg)
+    det = DetectorConfig(0.5, 0.7)
+    for t1, t2 in [(0.0, 0.0), (0.0, 45 * DEG), (22.5 * DEG, 45 * DEG), (135 * DEG, 60 * DEG)]:
+        _, only1, both, only2 = poisson_pattern_probs(
+            lam, 0.0, 0.0, *(float(p) for p in pair_click_probs(rho, t1, t2, det)))
+        p1, p2, pc, _ = enumerated_exact_rates(rho.matrix, t1, t2, lam, det)
+        np.testing.assert_allclose([p1, p2, pc], [only1 + both, only2 + both, both],
+                                   rtol=1e-12, atol=0.0, err_msg=f"{t1} {t2}")
+
+
 def test_no_events_without_pairs_or_background():
+    """With no event pulses a block is the longest run, which takes one chunk."""
     cfg = SourceConfig(mean_pairs_per_pulse=0.0)
     det = DetectorConfig()
-    n = 3 * counting._BLOCK + 123
-    probs = pair_click_probs(emitted_state(cfg), 0.3, 0.9, det)
-    tables = counting._build_tables(probs, det, 12345, 0.0)
+    n = counting.MAX_N_PULSES
+    tables = _tables(cfg, det)
+    assert tables.block == n
     assert counting._event_pulses(tables, 0, n, counting._Workspace()).size == 0
     for chunk in (None, 1, 777):
         rec = simulate_run(cfg, 0.3, 0.9, det, RunConfig(n, seed=3, workers=2), chunk_size=chunk)
         assert rec == CountRecord(n, 0, 0, 0, 0)
 
 
-# CountRecords of the three-threshold pattern draw, which every chunk size and
-# worker count must repeat exactly.
-_FIG3_RECORD = CountRecord(1_000_000, 5801, 5171, 892, 39)
-_DENSE_RECORD = CountRecord(200_000, 90992, 81666, 48891, 37319)
+# CountRecords of the three-threshold pattern draw over blocks of about 2**15
+# expected events, which every chunk size and worker count must repeat exactly.
+_FIG3_RECORD = CountRecord(1_000_000, 5893, 5153, 916, 30)
+_DENSE_RECORD = CountRecord(200_000, 91052, 81781, 48903, 37251)
 
 
 @pytest.mark.parametrize("workers, chunk", [(1, None), (2, None), (1, 77_777), (2, 77_777)])
@@ -453,27 +498,25 @@ _DENSE = (SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=2.0),
 
 
 def _workspace_runs():
-    """(source, detector, run, chunk_size) at lambda 0.01, 2 and 1000; the
-    2**18-pulse chunks at lambda 2 need more than the cached workspace holds."""
+    """(source, detector, run, chunk_size) at lambda 0.01, 2 and 1000, the
+    last two over several blocks.  ``chunk_size`` has no effect; the runs
+    pass it to show that."""
     fig3 = fig3_experiment(n_pulses=1_000_000)
     huge = SourceConfig(mean_pairs_per_pulse=1000.0)
     cases = []
     for chunk in (None, 1, 77_777, 1 << 18):
         cases.append((fig3.source, fig3.detector, RunConfig(1_000_000, seed=41), chunk))
         cases.append((*_DENSE, RunConfig(300_000, seed=42), chunk))
-        cases.append((huge, DetectorConfig(), RunConfig(20_000, seed=43), chunk))
+        cases.append((huge, DetectorConfig(), RunConfig(100_000, seed=43), chunk))
     return cases
 
 
-def test_default_chunks_fit_the_cached_workspace():
-    for p_event in np.concatenate((np.geomspace(1e-16, 1.0, 4001), [1.0 / counting._BLOCK])):
-        words = counting._chunk_blocks(p_event, None) * counting._gap_words(p_event)
-        assert words <= counting._CACHE_WORDS, p_event
-    rho = emitted_state(_DENSE[0])
-    probs = pair_click_probs(rho, 0.0, 0.0, _DENSE[1])
-    tables = counting._build_tables(probs, _DENSE[1], 12345, 2.0)
-    p_event = -np.expm1(tables.log_q)
-    assert counting._chunk_blocks(p_event, 1 << 18) * tables.gap_words > counting._CACHE_WORDS
+def test_no_gap_pass_draws_more_words_than_the_row_table():
+    """A block's first pass covers the most pulses of any pass that
+    ``_gap_words`` sizes; a later pass is capped at the table's length."""
+    for p_event in np.concatenate((np.geomspace(1e-16, 1.0, 4001), [1.0 / 4096])):
+        words = counting._gap_words(p_event, counting._block_pulses(p_event))
+        assert words <= rng.ROW_WORDS, p_event
 
 
 def test_workspace_reuse_leaks_nothing_between_runs():
@@ -487,9 +530,9 @@ def test_workspace_reuse_leaks_nothing_between_runs():
     assert again[::-1] == records
     assert simulate_run(cases[0][0], 0.3, 0.9, cases[0][1], cases[0][2],
                         chunk_size=cases[0][3]) == first
-    # buffers of the chunks that outgrow the cap were not kept
+    # no buffer outgrew one pass of gap words
     cached = counting._thread_workspace()._bufs.values()
-    assert max(buf.nbytes for buf in cached) <= counting._CACHE_WORDS * 8
+    assert max(buf.size for buf in cached) <= rng.ROW_WORDS
 
 
 def test_concurrent_runs_in_threads_match_serial_runs():
@@ -516,16 +559,21 @@ def test_concurrent_runs_in_threads_match_serial_runs():
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("setting", ["fig3", "dense"])
+@pytest.mark.parametrize("setting", ["fig3", "dense", "one-event-per-4096"])
 def test_default_chunk_workspace_stays_under_2_mib(setting):
-    """A fresh thread's workspace after one default-chunk run totals under
-    2 MiB: the grid-sized buffers are reused for positions and event draws
-    instead of each taking its own."""
+    """A fresh thread's workspace after one run totals under 2 MiB: the gap
+    words become the positions in place, and no buffer holds more than one
+    pass of words, whatever the event chance.  The last setting is
+    background only, one event per 4096 pulses over about three blocks."""
     fig3 = fig3_experiment()
     src, det, run = fig3.source, fig3.detector, fig3.run
     if setting == "dense":
         src, det = _DENSE
         run = RunConfig(200_000, seed=12345)
+    if setting == "one-event-per-4096":
+        b = 1.0 - (1.0 - 1.0 / 4096) ** 0.5
+        src, det = SourceConfig(mean_pairs_per_pulse=0.0), DetectorConfig(0.6, 0.6, b, b)
+        run = RunConfig(400_000_000, seed=12345)
     sizes = {}
 
     def fresh_thread_run():
@@ -571,31 +619,31 @@ def test_warm_kernel_allocates_no_chunk_sized_array(setting):
 
 # --- pinned records ----------------------------------------------------------------
 
-# Captured when each event's click pattern came to be drawn against three
-# thresholds instead of a Poisson table of (pair number, D1, D2) cells: the
+# Captured when event pulses came to be placed in blocks of about 2**15
+# expected events, one row of gap words per block, instead of 4096 pulses: the
 # SHA-256 over the records of the 136 runs of _digest_runs, one line each in
 # _record_line's format, and the first 8 hex digits of each line's own SHA-256,
 # which locate the first record that changed.  A change that alters counts on
 # purpose recaptures both.
-_RECORDS_SHA256 = "20c9a6fa1d9024a484eeeb5b3052be7d044bb46bf0d3a94d6027ec54ee4da7e8"
+_RECORDS_SHA256 = "8f48fa48f378f47c7511f19936219921de4226a6ca911d469be1bab6fb1d8a3e"
 _RECORD_TAGS = (
-    "6f435681f9b3d119615274a0799d6828b0550a96392f5ab5979e7beae120fe76"
-    "1625bb2989fac382973b478f26912d6a7841f535b53961db58cf0d9d4f496f0f"
-    "0460485dd24944a720bada8c935aafa5b6ebffb9f31590de9c46adf12c6954ca"
-    "2e7faf302b1e096112f37d4d9da514c1cff2ff858f82d289dc213b67db933204"
-    "6dab98f737acc78cc5a569dc9815efd4c055a63da622b050b6b5eca794e015a4"
-    "5fbd95890eb918a57a13ecf65fd784700cec65967c9302fbbbb09703c9539897"
-    "4a6c3f5f9f8ae730c899ffa416b48225a7d03f089e25fe16e4bbaf1b88b4ac6c"
-    "a65cacb940e54320a02c479223c518a14f3a15149e62728a6e92590788ac5f25"
-    "fe5e1ce256bc76d0f95db9871b82782982b11010ca3c0f809ae9774753a3e837"
-    "24f984085104218f7100889f46602b360c36d60c5d06ee20e62fa8af3b752bef"
-    "8410292535c64ed75277e34fea5c3bf4e6623a5ae4b97e24edb69357c5d4f1eb"
-    "a536580356dc64e60ef411221a1f19867d6ebd97f5324a9e37467704a8091aeb"
-    "5fe00ce7d51f18b8a65e5209437d4be4efd40d46dd27ce127dab82c19e190826"
-    "605733c41a2de53b3fa9b118a51d08a28bb4019ba52a841e947069e65a07e578"
-    "95642f7a44bf1b745de1109c4b11f29e2eeaf8d6b4627f64446ec4441e980c70"
-    "751f122126d4d5e81b7d6025aced1b33b446160ec1dc6c1f0e721e15feef5a5a"
-    "c61939ece971d552b2a3c09405fce40217a1d885615d7bcfe23d7bad6d4e705f"
+    "ab246126b8c6522ac2c1fca6ce91dae6340dde222a27c74d1dd0a8d0619e17d0"
+    "2dbfb05b6549bb4dea14585202538758867e28694dba28bc82f55f3572b39bcb"
+    "c4b09567b31bf28530dc7c726070772d662086ccb9bdf1668e6cccc564c6561b"
+    "478218e3fc64adf425cb81ae1ce44d295d6d35bf490b7b7200087449c6c31c27"
+    "37399ff0ba087fd2af4ab5c6added870504882f474358aa62392ab4129bf83d7"
+    "2b219d755468b4cdfbe01f609556eb0d8e6d1d454631bbcd654c98d1a8a493d0"
+    "4870d7952f133c2aa1180231fc1cc323d264e75933a835d6b39ec5dfb9b785cc"
+    "3c1987370ad1d37f5c2a1dee24f51ff9afbd726d23e12532047484e4acbe6250"
+    "8c42299ece73892460d620695746510a67357f8c95aa0c57b368e60f2c799c18"
+    "9b8e6a3e275dd6f2911523629a80da6e897d7316324a13bd597975e5730040e5"
+    "139ce26ec38d63977534f23a5357a40981a6ff74a795ef93c666dd9fb662bc2c"
+    "018b92286761739312bb869d49a5a25e7658e8bb6dfe28af8774f6654f806d95"
+    "599cdbac163d7383bd474577cfb00405a2605a9abeb6cb8bf3903acc56f570ad"
+    "4cd3e9625806ae3bac84d6411c0cd15ef000b5abfc1f8234519382f0d08f64bd"
+    "ba1fef458589889c3caffc26d990e5ad2b9bbbc8afac96cf4f95cd4b31969511"
+    "9a307e91824c2762c12d73957f765895adf6ed8cd56c7af1ea472376fd36d755"
+    "9c40308897d2c9150b1b1d6db8d35175a8cf6eda4a6bbe1ebb7490c858494798"
 )
 
 

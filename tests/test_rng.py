@@ -5,11 +5,6 @@ import numpy as np
 from pulsepair import rng
 
 
-def _draw(keys, index):
-    """Draw number ``index`` of every key: one index broadcast over the keys."""
-    return rng.draw_at(keys, np.array([index], dtype=np.uint64))
-
-
 def _unit(words):
     """uint64 draws mapped onto float64 uniforms in [0, 1), as the gap stage does."""
     return (words >> np.uint64(11)) * 2.0**-53
@@ -19,54 +14,49 @@ def test_draws_are_position_addressed():
     key = rng.stream_key(987654321)
     pulses = np.arange(0, 1000, dtype=np.uint64)
     keys = rng.pulse_keys(key, pulses)
-    full = _draw(keys, 3)
+    full = rng.draw_at(keys, 3)
     # any sub-slice reproduces the same values: no sequential state
-    part = _draw(rng.pulse_keys(key, pulses[400:500]), 3)
+    part = rng.draw_at(rng.pulse_keys(key, pulses[400:500]), 3)
     np.testing.assert_array_equal(full[400:500], part)
 
 
 def test_draw_at_matches_scalar_draw():
-    key = rng.stream_key(5)
-    keys = rng.pulse_keys(key, np.arange(64, dtype=np.uint64))
-    idx = np.full(64, 7, dtype=np.uint64)
-    np.testing.assert_array_equal(rng.draw_at(keys, idx), _draw(keys, 7))
-    scalar = [rng.mix64_int(int(k) + 8 * rng.DRAW_GAMMA) for k in keys]
-    assert [int(w) for w in rng.draw_at(keys, idx)] == scalar
-
-
-def test_an_int_draw_index_matches_the_array_index():
-    keys = rng.pulse_keys(rng.stream_key(6), np.arange(257, dtype=np.uint64))
+    keys = rng.pulse_keys(rng.stream_key(5), np.arange(257, dtype=np.uint64))
+    # draw indices wrap modulo 2**64, as the scalar arithmetic does
     for index in (0, 7, rng.MASK64 - 1, rng.MASK64):
-        expected = rng.draw_at(keys, np.array([index], dtype=np.uint64))
-        np.testing.assert_array_equal(rng.draw_at(keys, index), expected)
+        scalar = [rng.mix64_int(int(k) + (index + 1) * rng.DRAW_GAMMA) for k in keys]
+        assert [int(w) for w in rng.draw_at(keys, index)] == scalar
         out = np.empty_like(keys)
         got = rng.draw_at(keys, index, out=out, scratch=np.empty_like(keys))
         assert got is out
-        np.testing.assert_array_equal(got, expected)
+        assert [int(w) for w in got] == scalar
 
 
-def test_draw_at_broadcasts_a_row_of_words_over_a_column_of_keys():
-    keys = rng.pulse_keys(rng.block_stream_key(5), np.arange(8, dtype=np.uint64))
-    words = np.arange(3, 9, dtype=np.uint64)
-    grid = rng.draw_at(keys[:, None], words)
-    assert grid.shape == (8, 6)
-    for j, w in enumerate(range(3, 9)):
-        np.testing.assert_array_equal(grid[:, j], _draw(keys, w))
+def test_block_words_are_draws_of_the_block_key():
+    key = rng.block_stream_key(5)
+    keys = rng.pulse_keys(key, np.arange(8, dtype=np.uint64))
+    for block in range(8):
+        for first, n in ((0, 1), (3, 6), (rng.MASK64 - 2, 5), (100, rng.ROW_WORDS)):
+            row = np.empty(n, np.uint64)
+            got = rng.block_words(key, block, first, out=row, scratch=np.empty_like(row))
+            assert got is row
+            for j in (0, n // 2, n - 1):
+                assert row[j] == rng.draw_at(keys[block : block + 1], first + j)[0]
     assert rng.block_stream_key(5) != rng.stream_key(5)
 
 
 def test_distinct_draw_indices_decorrelate():
     key = rng.stream_key(11)
     keys = rng.pulse_keys(key, np.arange(200_000, dtype=np.uint64))
-    a = _unit(_draw(keys, 0))
-    b = _unit(_draw(keys, 1))
+    a = _unit(rng.draw_at(keys, 0))
+    b = _unit(rng.draw_at(keys, 1))
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
 
 
 def test_uniformity_moments():
     key = rng.stream_key(2024)
     keys = rng.pulse_keys(key, np.arange(1_000_000, dtype=np.uint64))
-    u = _unit(_draw(keys, 0))
+    u = _unit(rng.draw_at(keys, 0))
     assert 0.0 <= u.min() and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 5 * (1 / np.sqrt(12e6))
     assert abs(u.var() - 1 / 12) < 5e-4
@@ -74,8 +64,8 @@ def test_uniformity_moments():
 
 def test_seeds_change_everything():
     pulses = np.arange(1000, dtype=np.uint64)
-    a = _draw(rng.pulse_keys(rng.stream_key(1), pulses), 0)
-    b = _draw(rng.pulse_keys(rng.stream_key(2), pulses), 0)
+    a = rng.draw_at(rng.pulse_keys(rng.stream_key(1), pulses), 0)
+    b = rng.draw_at(rng.pulse_keys(rng.stream_key(2), pulses), 0)
     assert (a != b).mean() > 0.999
 
 
@@ -95,15 +85,12 @@ def test_mix64_int_matches_vector_mix():
 def test_out_and_scratch_buffers_change_no_bits():
     pulses = np.arange(3, 3000, 7, dtype=np.uint64)
     keys = rng.pulse_keys(rng.stream_key(8), pulses)
-    words = np.arange(5, dtype=np.uint64)
-    grid = rng.draw_at(keys[:, None], words)
-
     out = pulses.copy()
     scratch = np.empty_like(out)
     assert rng.pulse_keys(rng.stream_key(8), out, out=out, scratch=scratch) is out
     np.testing.assert_array_equal(out, keys)
-    buf = np.empty(grid.shape, np.uint64)
     np.testing.assert_array_equal(
-        rng.draw_at(keys[:, None], words, out=buf, scratch=np.empty_like(buf)), grid)
+        rng.draw_at(keys, 5, out=np.empty_like(keys), scratch=np.empty_like(keys)),
+        rng.draw_at(keys, 5))
     z = np.array([0, 1, 2**63, rng.MASK64], dtype=np.uint64)
     np.testing.assert_array_equal(rng.mix64(z.copy(), np.empty_like(z)), rng.mix64(z.copy()))

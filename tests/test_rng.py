@@ -32,6 +32,22 @@ def test_draw_at_matches_scalar_draw():
         assert [int(w) for w in got] == scalar
 
 
+def test_an_int_draw_index_matches_the_array_index():
+    # block_words adds a table of draw offsets, one per word index, to one key
+    key = rng.stream_key(6)
+    keys = rng.pulse_keys(key, np.arange(257, dtype=np.uint64))
+    for index in (0, 7, rng.MASK64 - 1, rng.MASK64):
+        expected = np.array(
+            [rng.block_words(key, b, index, out=np.empty(1, np.uint64),
+                             scratch=np.empty(1, np.uint64))[0] for b in range(257)],
+            dtype=np.uint64)
+        np.testing.assert_array_equal(rng.draw_at(keys, index), expected)
+        out = np.empty_like(keys)
+        got = rng.draw_at(keys, index, out=out, scratch=np.empty_like(keys))
+        assert got is out
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_block_words_are_draws_of_the_block_key():
     key = rng.block_stream_key(5)
     keys = rng.pulse_keys(key, np.arange(8, dtype=np.uint64))

@@ -24,19 +24,18 @@ P(neither) = (1 - b1)(1 - b2)(1 - s1 - s2 + s12)^k; summed over the Poisson
 pair number these become P(no D1) = (1 - b1) exp(-lambda s1) and
 P(neither) = (1 - b1)(1 - b2) exp(-lambda (s1 + s2 - s12)).  The Monte Carlo
 visits only event pulses: those with at least one pair or a background
-click, P(event) = 1 - (1 - b1)(1 - b2) exp(-lambda).  Their positions come
-from geometric gaps between events, drawn from a block-level counter stream
-keyed by (seed, block, word index), where a block is about 2**15 expected
-event pulses, so its length depends on P(event) alone.  Each event pulse
-takes whether D1 and D2 click in one 64-bit draw u keyed by (seed, pulse
-index, draw index).  Three thresholds t0 <= t1 <= t2 split the draws into
+click, P(event) = 1 - (1 - b1)(1 - b2) exp(-lambda).  Their positions are
+the running sums of geometric gaps between events, one gap per word of the
+run's gap stream, keyed by (seed, word index).  Each event pulse takes
+whether D1 and D2 click in one 64-bit draw u keyed by (seed, pulse index,
+draw index).  Three thresholds t0 <= t1 <= t2 split the draws into
 the click patterns given an event, in the order no click, D1 only, both, D2
 only, so D1 clicks if t0 <= u < t2 and D2 if u >= t1: three compares against
-scalars per event, with no table to search.  Each block is one chunk, the
-run's last one possibly cut short, and the chunks run one after another in
-a single thread.  A run is therefore bit-reproducible regardless of chunk
-size or worker count, and its cost grows with the number of event pulses,
-not of pulses or pairs.
+scalars per event, with no table to search.  The run draws its gap stream
+in passes of at most ``rng.ROW_WORDS`` words, one after another in a single
+thread; each pass is one chunk.  A run is therefore bit-reproducible
+regardless of chunk size or worker count, and its cost grows with the number
+of event pulses, not of pulses or pairs.
 
 A scan (:func:`simulate_scan`) is one run per analyzer-1 angle, point i
 seeded by ``rng.derive_seed(seed, i)``.  The emitted state and the click
@@ -49,7 +48,7 @@ one workspace per thread, which every chunk of a run and every later run on
 that thread reuse, so a warm run allocates no chunk-sized array and faults in
 no new pages.  A buffer that is dead by the time a later stage runs serves
 that stage too: the gap words become positions in place, and the positions
-below the block's end, a prefix of one rising row, are the chunk's events
+below the run's end, a prefix of one rising row, are the chunk's events
 with no copy.  One pass draws at most ``rng.ROW_WORDS`` words, so the
 buffers stay near that size whatever the event chance.
 """
@@ -250,8 +249,6 @@ def subtract_accidentals(rec: CountRecord) -> float:
 
 # --- Monte Carlo engine ----------------------------------------------------
 
-# expected event pulses in one block, the event stream's unit and one chunk
-_CHUNK_EVENTS = 1 << 15
 # Gap draws resolve U to steps of 2**-53, so they cannot place events rarer
 # than that; a pulse's event chance below it counts as none.
 _GAP_RESOLUTION = 2.0**-53
@@ -286,17 +283,10 @@ def _event_patterns(
     ])
 
 
-def _block_pulses(p_event: float) -> int:
-    """Pulses per block: about ``_CHUNK_EVENTS`` expected event pulses, at
-    most ``MAX_N_PULSES``.  It depends on the event chance alone, not on the
-    run's length or chunking."""
-    return int(min(_CHUNK_EVENTS / max(p_event, _GAP_RESOLUTION), MAX_N_PULSES))
-
-
 def _gap_words(p_event: float, pulses: float) -> int:
-    """Gap words one pass draws for ``pulses`` pulses: their expected events
-    plus four standard deviations and 2, so few blocks need a second pass,
-    and at most ``pulses + 1``, which always run past the last pulse."""
+    """Gap words that cover ``pulses`` pulses: their expected events plus
+    four standard deviations and 2, so a pass seldom falls short, and at
+    most ``pulses + 1``, which always run past the last pulse."""
     mean = pulses * p_event
     return int(min(mean + 4.0 * math.sqrt(mean * (1.0 - p_event)) + 2.0, pulses + 1))
 
@@ -306,9 +296,8 @@ class _PulseTables:
     """Precomputed sampling tables shared by all chunks of one run."""
 
     key: int  # pulse stream: per-event draws
-    block_key: int  # block stream: event positions
+    gap_key: int  # gap stream: event positions
     log_q: float  # ln P(no pair and no background click) for one pulse
-    block: int  # pulses per block of the block stream, and per chunk
     # uint64 thresholds t0 <= t1 <= t2 of an event's draw u over the patterns
     # no click, D1 only, both, D2 only: D1 clicks if t0 <= u < t2, D2 if u >= t1
     thresholds: np.ndarray
@@ -327,9 +316,8 @@ def _build_tables(probs, det: DetectorConfig, seed: int, lam: float) -> _PulseTa
         thresholds = np.array([min(int(c * 2.0**64), rng.MASK64) for c in cdf], np.uint64)
     return _PulseTables(
         key=rng.stream_key(seed),
-        block_key=rng.block_stream_key(seed),
+        gap_key=rng.gap_stream_key(seed),
         log_q=log_q,
-        block=_block_pulses(-math.expm1(log_q)),
         thresholds=thresholds,
     )
 
@@ -340,7 +328,7 @@ class _Workspace:
     ``take(name, n, dtype)`` returns the first ``n`` items of buffer
     ``name``, replacing the buffer by a larger one when it is too short; a
     name always comes with the same dtype.  Every request is bounded by one
-    block's events, so the buffers stay near ``rng.ROW_WORDS`` items.
+    pass of gap words, so the buffers stay near ``rng.ROW_WORDS`` items.
     """
 
     def __init__(self) -> None:
@@ -370,15 +358,10 @@ def _thread_workspace() -> _Workspace:
 
 
 def _gap_pass(
-    tables: _PulseTables,
-    block: int,
-    first_word: int,
-    last: float,
-    words: np.ndarray,
-    scratch: np.ndarray,
+    tables: _PulseTables, first_word: int, last: float, words: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """Event positions after ``last`` from gap words ``first_word`` on of
-    block ``block``, one per item of ``words``, as a rising row.
+    the run's gap stream, one per item of ``words``, as a rising row.
 
     The positions overwrite the words they come from, as a float64 view of
     ``words``; ``scratch`` has ``words``' shape.  Each step is a geometric
@@ -387,11 +370,11 @@ def _gap_pass(
     view converts to float64 exactly, and the scaled value is exactly
     -(w >> 11) 2**-53.  Steps are whole numbers of at least 1 and ``last``
     is one too, so every partial sum below 2**53 is exact, and one at or
-    above it rounds to at least 2**53, past every block end: a later pass
+    above it rounds to at least 2**53, past every run's end: a later pass
     that starts from a row's last position gives the positions that one
     longer pass gives, wherever they can count.
     """
-    rng.block_words(tables.block_key, block, first_word, out=words, scratch=scratch)
+    rng.stream_words(tables.gap_key, first_word, out=words, scratch=scratch)
     np.right_shift(words, np.uint64(11), out=scratch)
     pos = words.view(np.float64)
     np.copyto(pos, scratch.view(np.int64))
@@ -405,41 +388,13 @@ def _gap_pass(
     return pos.cumsum(out=pos)
 
 
-def _event_pulses(tables: _PulseTables, lo: int, hi: int, ws: _Workspace) -> np.ndarray:
-    """Sorted indices of the pulses in [lo, hi) with a pair or a background click.
-
-    ``lo`` is a block bound and ``hi`` the next one or the end of the run.
-    Word j of the block gives the geometric gap floor(ln U / ln q) between
-    event pulses, U in (0, 1].  A block whose words run out before it ends
-    draws the next ones by word index and appends them, which is rare and
-    allocates, so the events depend only on (seed, block, word).  Such a
-    pass draws as many words as all before it, up to ``rng.ROW_WORDS``, so
-    a block takes few passes and copies few words, however short
-    ``_gap_words`` falls.
-    The indices are float64, exact below 2**53, and after one pass a view
-    into ``ws``.
-    """
-    if tables.log_q == 0.0:
-        return ws.take("words", 0, np.uint64).view(np.float64)
-    block, p_event = lo // tables.block, -math.expm1(tables.log_q)
-    words = _gap_words(p_event, hi - lo)
-    events = _gap_pass(tables, block, 0, lo - 1.0, ws.take("words", words, np.uint64),
-                       ws.take("scratch", words, np.uint64))
-    while events[-1] < hi:  # the words ran out before the block did
-        words = min(max(_gap_words(p_event, hi - 1 - events[-1]), events.size), rng.ROW_WORDS)
-        more = _gap_pass(tables, block, events.size, events[-1], np.empty(words, np.uint64),
-                         np.empty(words, np.uint64))
-        events = np.concatenate((events, more))
-    return events[: events.searchsorted(hi)]
-
-
 def _run_chunk(
-    tables: _PulseTables, lo: int, hi: int, ws: _Workspace
+    tables: _PulseTables, events: np.ndarray, ws: _Workspace
 ) -> tuple[int, int, int, int, bool, bool]:
-    """Tallies for pulses [lo, hi): singles, coincidences, in-chunk accidentals
-    and the edge detector flags needed to stitch accidentals across chunks.
+    """Tallies of the event pulses ``events``, a rising row: singles,
+    coincidences, accidentals within the row, and whether D1 clicks at its
+    last event and D2 at its first, to stitch accidentals across chunks.
     Every chunk-sized intermediate lives in ``ws``."""
-    events = _event_pulses(tables, lo, hi, ws)
     n = events.size
     if n == 0:
         return 0, 0, 0, 0, False, False
@@ -463,25 +418,32 @@ def _run_chunk(
     np.logical_and(delayed, d1[:-1], out=delayed)
     np.logical_and(delayed, d2[1:], out=delayed)
     accidentals = int(np.count_nonzero(delayed))
-    return (
-        singles1,
-        singles2,
-        coincidences,
-        accidentals,
-        bool(d1[-1]) and int(events[-1]) == hi - 1,
-        bool(d2[0]) and int(events[0]) == lo,
-    )
+    return singles1, singles2, coincidences, accidentals, bool(d1[-1]), bool(d2[0])
 
 
 def _count_run(tables: _PulseTables, n: int, ws: _Workspace) -> CountRecord:
-    """Tallies of one run of ``n`` pulses, one chunk per block."""
-    block = tables.block
-    results = [_run_chunk(tables, lo, min(lo + block, n), ws) for lo in range(0, n, block)]
-    singles1, singles2, coincidences, accidentals, *_ = map(sum, zip(*results))
-    # delayed windows spanning a chunk boundary: D1 on the last pulse of one
-    # chunk against D2 on the first pulse of the next
-    accidentals += sum(prev[4] and nxt[5] for prev, nxt in zip(results[:-1], results[1:]))
-    return CountRecord(n, singles1, singles2, coincidences, accidentals)
+    """Tallies of one run of ``n`` pulses, one chunk per pass of its gap stream.
+
+    Each pass draws the stream's next words, at most ``rng.ROW_WORDS``, as a
+    rising row of positions in ``ws``; those below ``n`` are the chunk's
+    events, and the next pass starts from the row's last position.
+    """
+    if tables.log_q == 0.0:  # no event pulses
+        return CountRecord(n, 0, 0, 0, 0)
+    p_event = -math.expm1(tables.log_q)
+    tallies, last, drawn, d1_last = (0, 0, 0, 0), -1.0, 0, False
+    while last < n - 1:
+        words = min(_gap_words(p_event, n - 1 - last), rng.ROW_WORDS)
+        pos = _gap_pass(tables, drawn, last, ws.take("words", words, np.uint64),
+                        ws.take("scratch", words, np.uint64))
+        events = pos[: pos.searchsorted(n)]
+        *counts, d1_end, d2_start = _run_chunk(tables, events, ws)
+        # a delayed window across the chunk bound: D1 on the previous chunk's
+        # last event, which is ``last``, and D2 on the pulse after it
+        counts[3] += bool(d1_last and d2_start and events[0] == last + 1)
+        tallies = tuple(map(sum, zip(tallies, counts)))
+        drawn, last, d1_last = drawn + words, pos[-1], d1_end
+    return CountRecord(n, *tallies)
 
 
 def _simulate(
@@ -520,18 +482,18 @@ def simulate_run(
     """Simulate ``run.n_pulses`` windows and tally counts.
 
     Only pulses with a pair or a background click are visited.  Their
-    positions are keyed by (seed, block, word), a block being about 32 k
-    expected event pulses; each such pulse draws whether D1 and D2 click in
-    one draw keyed by (seed, pulse, draw), compared with three thresholds
-    built on :func:`pair_click_probs`, so no pair is counted and no photon
-    is routed one by one.  Each block is one chunk, and the chunks run one
-    after another in this thread, in this thread's workspace.  The result
-    depends only on (seed, configs): ``chunk_size``, a positive int or
-    ``None``, is kept for compatibility and has no effect, as
-    ``run.workers`` has none.  The counts for a given seed differ from
-    those of earlier samplers, which drew each event's pair number, placed
-    events in blocks of 4096 pulses or routed every pair photon by photon;
-    their statistics do not.  Non-finite analyzer angles raise
+    positions come from one gap stream per run, keyed by (seed, word); each
+    such pulse draws whether D1 and D2 click in one draw keyed by (seed,
+    pulse, draw), compared with three thresholds built on
+    :func:`pair_click_probs`, so no pair is counted and no photon is routed
+    one by one.  The stream is drawn in passes of at most ``rng.ROW_WORDS``
+    words, one chunk each, that run one after another in this thread, in
+    this thread's workspace.  The result depends only on (seed, configs):
+    ``chunk_size``, a positive int or ``None``, is kept for compatibility
+    and has no effect, as ``run.workers`` has none.  The counts for a given
+    seed differ from those of earlier samplers, which split the gap stream
+    into blocks, drew each event's pair number or routed every pair photon
+    by photon; their statistics do not.  Non-finite analyzer angles raise
     ``ValueError``.  This is the one-angle case of :func:`simulate_scan`.
     """
     if chunk_size is not None and chunk_size < 1:

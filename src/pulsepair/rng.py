@@ -1,9 +1,9 @@
 """Counter-based random number streams for reproducible parallel simulation.
 
 Every uniform variate is addressed by (seed, pulse index, draw index), or by
-(seed, block index, word index) in the block-level stream, instead of being
-pulled from a sequential generator, so any partition of the pulse range over
-chunks or worker threads reproduces bit-identical outcomes.  The
+(seed, word index) in the gap stream, instead of being pulled from a
+sequential generator, so any word can be computed directly from its address
+and any split of a run into passes reproduces bit-identical outcomes.  The
 mixing function is the splitmix64 output finalizer (Stafford mix 13) applied
 to a Weyl sequence, a standard construction for keyed counter streams.
 
@@ -12,16 +12,19 @@ All vector routines operate on uint64 arrays and wrap modulo 2**64.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
 
 # Weyl increments: the golden-ratio gamma for the pulse-level stream and an
-# independent odd constant for draws within one pulse; BLOCK_GAMMA offsets
-# the seed of the block-level stream from that of the pulse-level one.
+# independent odd constant for draws within one pulse and for the words of
+# the gap stream; GAP_GAMMA offsets the seed of the gap stream from that of
+# the pulse-level one.
 PULSE_GAMMA = 0x9E3779B97F4A7C15
 DRAW_GAMMA = 0xD1B54A32D192ED03
-BLOCK_GAMMA = 0x8CB92BA72F3D8DD7
+GAP_GAMMA = 0x8CB92BA72F3D8DD7
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -30,14 +33,20 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _PULSE_GAMMA_U64 = np.uint64(PULSE_GAMMA)
 
-# Words one block_words call may return: a pass over a block of the event
-# stream draws at most 2**15 expected words plus four standard deviations and
-# 2, which is 33 494.
+# The most words one stream_words call returns, and so one pass of the gap
+# stream draws.
 ROW_WORDS = (1 << 15) + (1 << 10)
-# (j + 1) DRAW_GAMMA mod 2**64, the draw offset of word j of a row; scaled in
-# place, since a product's temporary would add to every process's peak memory
-_ROW_OFFSETS = np.arange(1, ROW_WORDS + 1, dtype=np.uint64)
-_ROW_OFFSETS *= np.uint64(DRAW_GAMMA)
+
+
+@functools.cache
+def _row_offsets() -> np.ndarray:
+    """(j + 1) DRAW_GAMMA mod 2**64 for j < ``ROW_WORDS``, the draw offset of
+    word j of a row.  Built on first use, so a process that never runs the
+    Monte Carlo never holds its 264 KiB, and scaled in place, since a
+    product's temporary would add to the peak memory of the first run."""
+    offsets = np.arange(1, ROW_WORDS + 1, dtype=np.uint64)
+    offsets *= np.uint64(DRAW_GAMMA)
+    return offsets
 
 
 def mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -67,14 +76,14 @@ def stream_key(seed: int) -> int:
     return mix64_int((seed & MASK64) + PULSE_GAMMA)
 
 
-def block_stream_key(seed: int) -> int:
-    """Whiten a user seed into the base key of the block-level stream.
+def gap_stream_key(seed: int) -> int:
+    """Whiten a user seed into the key of the gap stream.
 
-    Blocks are keyed like pulses (:func:`pulse_keys`) and their words drawn
-    like draws (:func:`draw_at`), from a base key apart from :func:`stream_key`;
-    :func:`block_words` gives a run of one block's words.
+    Its words are drawn like the draws of one pulse key (:func:`draw_at`),
+    from a key apart from :func:`stream_key`; :func:`stream_words` gives a
+    run of them.
     """
-    return mix64_int((seed & MASK64) + BLOCK_GAMMA)
+    return mix64_int((seed & MASK64) + GAP_GAMMA)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -115,18 +124,13 @@ def draw_at(
     return mix64(np.add(keys, off, out=out), scratch)
 
 
-def block_words(
-    key: int, block: int, first_word: int, out: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Words ``first_word``, ``first_word + 1``, ... of block ``block`` of the
-    block-level stream with base key ``key``, as many as ``out`` holds, at
-    most ``ROW_WORDS``.
+def stream_words(key: int, first_word: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Words ``first_word``, ``first_word + 1``, ... of the stream with key
+    ``key``, as many as ``out`` holds, at most ``ROW_WORDS``.
 
-    Word j equals ``draw_at(pulse_keys(key, [block]), j)``: the block's key
-    is one scalar, and the draw offsets come from a table built once, so no
-    index array is formed per call.  ``scratch``, of ``out``'s shape, serves
-    :func:`mix64`.
+    Word k equals ``draw_at([key], k)``, mix64(key + (k + 1) DRAW_GAMMA): the
+    draw offsets come from a table built once, so no index array is formed
+    per call.  ``scratch``, of ``out``'s shape, serves :func:`mix64`.
     """
-    row_key = mix64_int(block * PULSE_GAMMA + key)
-    start = np.uint64((row_key + first_word * DRAW_GAMMA) & MASK64)
-    return mix64(np.add(_ROW_OFFSETS[: out.size], start, out=out), scratch)
+    start = np.uint64((key + first_word * DRAW_GAMMA) & MASK64)
+    return mix64(np.add(_row_offsets()[: out.size], start, out=out), scratch)

@@ -332,68 +332,110 @@ def _tables(cfg, det, seed=12345):
     return counting._build_tables(probs, det, seed, cfg.mean_pairs_per_pulse)
 
 
+def _pass_pulses(cfg, det):
+    """About the pulses that one full pass, ``rng.ROW_WORDS`` gap words, covers."""
+    return int(rng.ROW_WORDS / -np.expm1(_tables(cfg, det).log_q))
+
+
+def _first_pass_end(tables):
+    """The last position of a full first pass: a run longer than it by two
+    or more pulses draws a second pass."""
+    ws = counting._Workspace()
+    words = rng.ROW_WORDS
+    pos = counting._gap_pass(tables, 0, -1.0, ws.take("words", words, np.uint64),
+                             ws.take("scratch", words, np.uint64))
+    return int(pos[-1])
+
+
 @pytest.mark.parametrize("words_per_pass", [1, 3, 4097, rng.ROW_WORDS])
 def test_event_positions_do_not_depend_on_gap_word_oversupply(monkeypatch, words_per_pass):
-    """Each run spans three blocks and 123 pulses of a fourth."""
+    """Each run spans three full passes and 123 pulses of a fourth, or about
+    3000 events when a pass draws a few words."""
     cases = [  # sparse, moderate, background only, dense
         (SourceConfig(mean_pairs_per_pulse=0.01), DetectorConfig(0.6, 0.6, 2.6e-3, 2.6e-3)),
         (SourceConfig(gain_down=0.7, mean_pairs_per_pulse=0.5), DetectorConfig(0.5, 0.7, 1e-2, 0.0)),
         (SourceConfig(mean_pairs_per_pulse=0.0), DetectorConfig(0.6, 0.6, 0.3, 0.2)),
         _DENSE,
     ]
-    runs = [(cfg, det, RunConfig(3 * _tables(cfg, det).block + 123, seed=31 + i))
+    passes = 3 if words_per_pass > 3 else 3000 / rng.ROW_WORDS
+    runs = [(cfg, det, RunConfig(int(passes * _pass_pulses(cfg, det)) + 123, seed=31 + i))
             for i, (cfg, det) in enumerate(cases)]
     expected = [simulate_run(cfg, 0.2, 0.9, det, run) for cfg, det, run in runs]
     monkeypatch.setattr(counting, "_gap_words", lambda p_event, pulses: words_per_pass)
     assert [simulate_run(cfg, 0.2, 0.9, det, run) for cfg, det, run in runs] == expected
 
 
-def test_later_gap_passes_stop_growing_at_the_row_table(monkeypatch):
-    """A pass after the first draws as many words as all before it, but no
-    more than the row table holds, here cut to 64 words so that most passes
-    hit it."""
+def test_a_64_word_pass_cap_gives_the_same_counts(monkeypatch):
+    """With the pass cap cut to 64 words, every pass but the last hits it,
+    and the run counts what one full pass and a short second one count."""
     cfg, det = _DENSE
-    run = RunConfig(_tables(cfg, det).block + 123, seed=5)
+    run = RunConfig(_pass_pulses(cfg, det) + 123, seed=5)
     expected = simulate_run(cfg, 0.2, 0.9, det, run)
-    monkeypatch.setattr(counting, "_gap_words", lambda p_event, pulses: 1)
+    sizes, gap_pass = [], counting._gap_pass
+
+    def spy(tables, first_word, last, words, scratch):
+        sizes.append(words.size)
+        return gap_pass(tables, first_word, last, words, scratch)
+
+    monkeypatch.setattr(counting, "_gap_pass", spy)
     monkeypatch.setattr(rng, "ROW_WORDS", 64)
-    monkeypatch.setattr(rng, "_ROW_OFFSETS", rng._ROW_OFFSETS[:64])
     assert simulate_run(cfg, 0.2, 0.9, det, run) == expected
+    assert len(sizes) > 500 and max(sizes) == 64
 
 
 @pytest.mark.parametrize("lam, b1, b2", [(0.01, 2.6e-3, 2.6e-3), (2.0, 1e-3, 1e-3), (0.0, 0.05, 0.0)])
 def test_event_pulse_count_is_binomial(lam, b1, b2):
+    """Walk the gap stream pass by pass, as a run of n pulses does."""
     n = 1_000_000
     tables = _tables(SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, b1, b2), 77)
-    ws, count = counting._Workspace(), 0
-    for lo in range(0, n, tables.block):
-        hi = min(lo + tables.block, n)
-        events = counting._event_pulses(tables, lo, hi, ws)
-        assert events.size == 0 or (events[0] >= lo and events[-1] < hi)
-        assert np.all(np.diff(events) > 0)
-        count += events.size
+    ws, count, drawn, last = counting._Workspace(), 0, 0, -1.0
+    while last < n - 1:
+        words = rng.ROW_WORDS
+        pos = counting._gap_pass(tables, drawn, last, ws.take("words", words, np.uint64),
+                                 ws.take("scratch", words, np.uint64))
+        assert pos[0] > last and np.all(np.diff(pos) > 0)
+        count += pos.searchsorted(n)
+        drawn, last = drawn + words, pos[-1]
     p_event = 1 - (1 - b1) * (1 - b2) * np.exp(-lam)
     assert _binomial_ok(count, n, p_event), (count, n * p_event)
 
 
 _UNALIGNED = (SourceConfig(gain_down=0.8, overlap_mu=0.9, mean_pairs_per_pulse=0.3),
               DetectorConfig(0.5, 0.7, 0.2, 0.3))
-_UNALIGNED_BLOCK = _tables(*_UNALIGNED).block
+_UNALIGNED_PASS = _pass_pulses(*_UNALIGNED)
 
 
 @pytest.mark.parametrize(
-    "n", [1, 4095, 12_411, _UNALIGNED_BLOCK - 1, 3 * _UNALIGNED_BLOCK + 123])
+    "n", [1, 4095, 12_411, _UNALIGNED_PASS - 1, 3 * _UNALIGNED_PASS + 123])
 def test_records_match_across_block_unaligned_chunks(n):
-    """Short runs inside one block, and runs that end a pulse short of a
-    block bound or 123 pulses past the third."""
+    """Short runs inside one pass, and runs about a pulse short of a full
+    pass or 123 pulses past the third: ``chunk_size`` and ``workers`` are
+    accepted and change nothing."""
     cfg, det = _UNALIGNED
-    run = RunConfig(n, seed=4)
-    expected = simulate_run(cfg, 0.2, 0.9, det, run)
-    for chunk in (1, 777, 4096, 10_000):
-        for workers in (1, 3):
-            rec = simulate_run(cfg, 0.2, 0.9, det, RunConfig(n, seed=4, workers=workers),
-                               chunk_size=chunk)
-            assert rec == expected, (chunk, workers)
+    expected = simulate_run(cfg, 0.2, 0.9, det, RunConfig(n, seed=4))
+    rec = simulate_run(cfg, 0.2, 0.9, det, RunConfig(n, seed=4, workers=3), chunk_size=777)
+    assert rec == expected
+
+
+@pytest.mark.parametrize("lam", [2.0, 1000.0])
+def test_one_more_pulse_adds_at_most_one_to_each_tally(lam):
+    """Runs of n and n + 1 pulses share the first n pulses, so their tallies
+    differ only by what pulse n adds, for n at and around the end of the
+    first pass, where accidentals are stitched across chunks, and for short
+    runs.  At lambda = 1000 every pulse clicks both detectors, so it adds
+    exactly one to every tally."""
+    cfg, det = SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, 1e-3, 1e-3)
+    end = _first_pass_end(_tables(cfg, det, seed=8))
+    ns = [1, 2, 3, 1000] + [end + d for d in range(-3, 5)] + [2 * end + 3]
+    for n in ns:
+        a, b = (simulate_run(cfg, 0.2, 0.9, det, RunConfig(m, seed=8)) for m in (n, n + 1))
+        d1, d2, coinc, acc = (b.singles1 - a.singles1, b.singles2 - a.singles2,
+                              b.coincidences - a.coincidences, b.accidentals - a.accidentals)
+        assert {d1, d2, coinc, acc} <= {0, 1}, (n, a, b)
+        # both clicks on pulse n make its coincidence, D2 on it an accidental
+        assert coinc <= min(d1, d2) and acc <= d2, (n, a, b)
+        if lam == 1000.0:
+            assert b == CountRecord(n + 1, n + 1, n + 1, n + 1, n), (n, b)
 
 
 def _decoded_rates(tables):
@@ -461,22 +503,20 @@ def test_exact_rate_oracle_matches_poisson_sum_at_small_lambda():
 
 
 def test_no_events_without_pairs_or_background():
-    """With no event pulses a block is the longest run, which takes one chunk."""
+    """With no event pulses the longest run draws no gap words."""
     cfg = SourceConfig(mean_pairs_per_pulse=0.0)
     det = DetectorConfig()
     n = counting.MAX_N_PULSES
-    tables = _tables(cfg, det)
-    assert tables.block == n
-    assert counting._event_pulses(tables, 0, n, counting._Workspace()).size == 0
+    assert _tables(cfg, det).log_q == 0.0
     for chunk in (None, 1, 777):
         rec = simulate_run(cfg, 0.3, 0.9, det, RunConfig(n, seed=3, workers=2), chunk_size=chunk)
         assert rec == CountRecord(n, 0, 0, 0, 0)
 
 
-# CountRecords of the three-threshold pattern draw over blocks of about 2**15
-# expected events, which every chunk size and worker count must repeat exactly.
-_FIG3_RECORD = CountRecord(1_000_000, 5893, 5153, 916, 30)
-_DENSE_RECORD = CountRecord(200_000, 91052, 81781, 48903, 37251)
+# CountRecords of the three-threshold pattern draw over one gap stream per
+# run, which every chunk size and worker count must repeat exactly.
+_FIG3_RECORD = CountRecord(1_000_000, 5895, 5254, 1004, 26)
+_DENSE_RECORD = CountRecord(200_000, 91024, 81726, 48922, 37138)
 
 
 @pytest.mark.parametrize("workers, chunk", [(1, None), (2, None), (1, 77_777), (2, 77_777)])
@@ -498,38 +538,23 @@ _DENSE = (SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=2.0),
 
 
 def _workspace_runs():
-    """(source, detector, run, chunk_size) at lambda 0.01, 2 and 1000, the
-    last two over several blocks.  ``chunk_size`` has no effect; the runs
-    pass it to show that."""
+    """(source, detector, run) at lambda 0.01, 2 and 1000, the last two over
+    several passes."""
     fig3 = fig3_experiment(n_pulses=1_000_000)
     huge = SourceConfig(mean_pairs_per_pulse=1000.0)
-    cases = []
-    for chunk in (None, 1, 77_777, 1 << 18):
-        cases.append((fig3.source, fig3.detector, RunConfig(1_000_000, seed=41), chunk))
-        cases.append((*_DENSE, RunConfig(300_000, seed=42), chunk))
-        cases.append((huge, DetectorConfig(), RunConfig(100_000, seed=43), chunk))
-    return cases
-
-
-def test_no_gap_pass_draws_more_words_than_the_row_table():
-    """A block's first pass covers the most pulses of any pass that
-    ``_gap_words`` sizes; a later pass is capped at the table's length."""
-    for p_event in np.concatenate((np.geomspace(1e-16, 1.0, 4001), [1.0 / 4096])):
-        words = counting._gap_words(p_event, counting._block_pulses(p_event))
-        assert words <= rng.ROW_WORDS, p_event
+    return [(fig3.source, fig3.detector, RunConfig(1_000_000, seed=41)),
+            (*_DENSE, RunConfig(300_000, seed=42)),
+            (huge, DetectorConfig(), RunConfig(100_000, seed=43))]
 
 
 def test_workspace_reuse_leaks_nothing_between_runs():
     cases = _workspace_runs()
-    first = simulate_run(cases[0][0], 0.3, 0.9, cases[0][1], cases[0][2], chunk_size=cases[0][3])
-    records = [simulate_run(src, 0.3, 0.9, det, run, chunk_size=chunk)
-               for src, det, run, chunk in cases]
+    first = simulate_run(cases[0][0], 0.3, 0.9, cases[0][1], cases[0][2])
+    records = [simulate_run(src, 0.3, 0.9, det, run) for src, det, run in cases]
     assert records[0] == first
-    again = [simulate_run(src, 0.3, 0.9, det, run, chunk_size=chunk)
-             for src, det, run, chunk in reversed(cases)]
+    again = [simulate_run(src, 0.3, 0.9, det, run) for src, det, run in reversed(cases)]
     assert again[::-1] == records
-    assert simulate_run(cases[0][0], 0.3, 0.9, cases[0][1], cases[0][2],
-                        chunk_size=cases[0][3]) == first
+    assert simulate_run(cases[0][0], 0.3, 0.9, cases[0][1], cases[0][2]) == first
     # no buffer outgrew one pass of gap words
     cached = counting._thread_workspace()._bufs.values()
     assert max(buf.size for buf in cached) <= rng.ROW_WORDS
@@ -537,14 +562,12 @@ def test_workspace_reuse_leaks_nothing_between_runs():
 
 def test_concurrent_runs_in_threads_match_serial_runs():
     cases = _workspace_runs()
-    serial = [simulate_run(src, 0.3, 0.9, det, run, chunk_size=chunk)
-              for src, det, run, chunk in cases]
+    serial = [simulate_run(src, 0.3, 0.9, det, run) for src, det, run in cases]
     start = threading.Barrier(2, timeout=60)
 
     def run_all(order):
         start.wait()
-        return [simulate_run(cases[i][0], 0.3, 0.9, cases[i][1], cases[i][2],
-                             chunk_size=cases[i][3]) for i in order]
+        return [simulate_run(cases[i][0], 0.3, 0.9, cases[i][1], cases[i][2]) for i in order]
 
     forward = list(range(len(cases)))
     interval = sys.getswitchinterval()
@@ -564,7 +587,7 @@ def test_default_chunk_workspace_stays_under_2_mib(setting):
     """A fresh thread's workspace after one run totals under 2 MiB: the gap
     words become the positions in place, and no buffer holds more than one
     pass of words, whatever the event chance.  The last setting is
-    background only, one event per 4096 pulses over about three blocks."""
+    background only, one event per 4096 pulses over about three passes."""
     fig3 = fig3_experiment()
     src, det, run = fig3.source, fig3.detector, fig3.run
     if setting == "dense":
@@ -619,31 +642,31 @@ def test_warm_kernel_allocates_no_chunk_sized_array(setting):
 
 # --- pinned records ----------------------------------------------------------------
 
-# Captured when event pulses came to be placed in blocks of about 2**15
-# expected events, one row of gap words per block, instead of 4096 pulses: the
-# SHA-256 over the records of the 136 runs of _digest_runs, one line each in
+# Captured when event pulses came to be placed by one gap stream per run,
+# keyed by (seed, word), instead of one per block of the run: the SHA-256
+# over the records of the 136 runs of _digest_runs, one line each in
 # _record_line's format, and the first 8 hex digits of each line's own SHA-256,
 # which locate the first record that changed.  A change that alters counts on
 # purpose recaptures both.
-_RECORDS_SHA256 = "8f48fa48f378f47c7511f19936219921de4226a6ca911d469be1bab6fb1d8a3e"
+_RECORDS_SHA256 = "642de19d2decd27089bf26655cc6f8348a74e1a1fd03715e31ebbd0b023a2b7b"
 _RECORD_TAGS = (
-    "ab246126b8c6522ac2c1fca6ce91dae6340dde222a27c74d1dd0a8d0619e17d0"
-    "2dbfb05b6549bb4dea14585202538758867e28694dba28bc82f55f3572b39bcb"
-    "c4b09567b31bf28530dc7c726070772d662086ccb9bdf1668e6cccc564c6561b"
-    "478218e3fc64adf425cb81ae1ce44d295d6d35bf490b7b7200087449c6c31c27"
-    "37399ff0ba087fd2af4ab5c6added870504882f474358aa62392ab4129bf83d7"
-    "2b219d755468b4cdfbe01f609556eb0d8e6d1d454631bbcd654c98d1a8a493d0"
-    "4870d7952f133c2aa1180231fc1cc323d264e75933a835d6b39ec5dfb9b785cc"
-    "3c1987370ad1d37f5c2a1dee24f51ff9afbd726d23e12532047484e4acbe6250"
-    "8c42299ece73892460d620695746510a67357f8c95aa0c57b368e60f2c799c18"
-    "9b8e6a3e275dd6f2911523629a80da6e897d7316324a13bd597975e5730040e5"
-    "139ce26ec38d63977534f23a5357a40981a6ff74a795ef93c666dd9fb662bc2c"
-    "018b92286761739312bb869d49a5a25e7658e8bb6dfe28af8774f6654f806d95"
-    "599cdbac163d7383bd474577cfb00405a2605a9abeb6cb8bf3903acc56f570ad"
-    "4cd3e9625806ae3bac84d6411c0cd15ef000b5abfc1f8234519382f0d08f64bd"
-    "ba1fef458589889c3caffc26d990e5ad2b9bbbc8afac96cf4f95cd4b31969511"
-    "9a307e91824c2762c12d73957f765895adf6ed8cd56c7af1ea472376fd36d755"
-    "9c40308897d2c9150b1b1d6db8d35175a8cf6eda4a6bbe1ebb7490c858494798"
+    "f2493f1f0c4b7ea3d0950ef409870cd8d39786f6aba085d58b850965454cf770"
+    "19a908387bbfb9a2089ee2d941fb45c49c60b4cddbeca9525f14465d9b9c8afa"
+    "bb962e437bd8ddc7706f58611b85759730f9f2790678da05112b445904861452"
+    "a1c5a2f215fb92118a6411a102f65c9845e14ee0155ea4e76ac17ba49b501a52"
+    "9df92d39db42604e8b7bf8457392393c95b3be2aa2c4e66084ae3f0dd594f718"
+    "c066cfbfeedcb3699f7049cbcd81775d72d8d190ba9bd1db542a8d59e3dfd805"
+    "16ceae1f829b5d0c3772cef0909bef41e2cdb50ee0e961abddbda4fe48350431"
+    "ff91e513dba4bc4c711783ff69787ab54b451b45028e04068f15b04573d242ad"
+    "465ec8334057f3d6c7229c42bdbfc6d9e56d47fe2fe176e2e290408c66322c15"
+    "cc01343189317be58ee9d94c778e10844cb45cf23c8a059af587743a2f749130"
+    "f12addf7fd9140d6d874f209eeba5392a46432c00247607afa489f27fb38a342"
+    "810b42cde684502cd40c4bdc3d93a4d3790d471192074fc578b1b4c81b6adb6b"
+    "2e0dfbc7afa9bc3f2106f6f4729f0cafceb7fb19dadd68585e025c42eb45784e"
+    "dd2df449391a651ec864679475e7257ff77df3d9d3c4f5fd3cb95c1d494fa6f1"
+    "d75796b733b3f887e7c475c6f9b0d244464b036c4e4f935da61404587c4fbe5b"
+    "7735b83856a5f69cecad119c5bb6259d7aa93fdb17a537f144a2bb25551c010e"
+    "57097e922cd580ffabca4fe03a2d19d23ea6614a774a2805b3c4c3735eb35e8e"
 )
 
 

@@ -1,5 +1,9 @@
 """Counter-based stream: addressability, determinism and uniformity."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 from pulsepair import rng
@@ -33,13 +37,12 @@ def test_draw_at_matches_scalar_draw():
 
 
 def test_an_int_draw_index_matches_the_array_index():
-    # block_words adds a table of draw offsets, one per word index, to one key
-    key = rng.stream_key(6)
-    keys = rng.pulse_keys(key, np.arange(257, dtype=np.uint64))
+    # stream_words adds a table of draw offsets, one per word index, to one key
+    keys = rng.pulse_keys(rng.stream_key(6), np.arange(257, dtype=np.uint64))
     for index in (0, 7, rng.MASK64 - 1, rng.MASK64):
         expected = np.array(
-            [rng.block_words(key, b, index, out=np.empty(1, np.uint64),
-                             scratch=np.empty(1, np.uint64))[0] for b in range(257)],
+            [rng.stream_words(int(k), index, out=np.empty(1, np.uint64),
+                              scratch=np.empty(1, np.uint64))[0] for k in keys],
             dtype=np.uint64)
         np.testing.assert_array_equal(rng.draw_at(keys, index), expected)
         out = np.empty_like(keys)
@@ -48,17 +51,33 @@ def test_an_int_draw_index_matches_the_array_index():
         np.testing.assert_array_equal(got, expected)
 
 
-def test_block_words_are_draws_of_the_block_key():
-    key = rng.block_stream_key(5)
-    keys = rng.pulse_keys(key, np.arange(8, dtype=np.uint64))
-    for block in range(8):
-        for first, n in ((0, 1), (3, 6), (rng.MASK64 - 2, 5), (100, rng.ROW_WORDS)):
-            row = np.empty(n, np.uint64)
-            got = rng.block_words(key, block, first, out=row, scratch=np.empty_like(row))
-            assert got is row
-            for j in (0, n // 2, n - 1):
-                assert row[j] == rng.draw_at(keys[block : block + 1], first + j)[0]
-    assert rng.block_stream_key(5) != rng.stream_key(5)
+def test_stream_words_are_draws_of_the_gap_key():
+    key = rng.gap_stream_key(5)
+    for first, n in ((0, 1), (3, 6), (rng.MASK64 - 2, 5), (100, rng.ROW_WORDS)):
+        row = np.empty(n, np.uint64)
+        got = rng.stream_words(key, first, out=row, scratch=np.empty_like(row))
+        assert got is row
+        for j in (0, n // 2, n - 1):
+            # word indices wrap modulo 2**64
+            assert int(row[j]) == rng.mix64_int(key + (first + j + 1) * rng.DRAW_GAMMA)
+    assert rng.gap_stream_key(5) != rng.stream_key(5)
+
+
+def test_the_offset_table_is_built_on_first_use():
+    """An analytic scan in a fresh interpreter never builds the gap stream's
+    offset table; a Monte Carlo run builds it once."""
+    src = os.path.dirname(os.path.dirname(rng.__file__))
+    code = (
+        "import io\n"
+        "from pulsepair import cli, rng\n"
+        "for argv in (['scan'], ['scan', '--mode', 'monte-carlo', '--n-pulses', '1000']):\n"
+        "    assert cli.run_command(argv, out=io.StringIO()) == 0\n"
+        "    print(rng._row_offsets.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out.split() == ["0", "1"]
 
 
 def test_distinct_draw_indices_decorrelate():

@@ -24,14 +24,16 @@ P(neither) = (1 - b1)(1 - b2)(1 - s1 - s2 + s12)^k; summed over the Poisson
 pair number these become P(no D1) = (1 - b1) exp(-lambda s1) and
 P(neither) = (1 - b1)(1 - b2) exp(-lambda (s1 + s2 - s12)).  The Monte Carlo
 visits only event pulses: those with at least one pair or a background
-click, P(event) = 1 - (1 - b1)(1 - b2) exp(-lambda).  Their positions are
-the running sums of geometric gaps between events, one gap per word of the
-run's gap stream, keyed by (seed, word index).  Each event pulse takes
-whether D1 and D2 click in one 64-bit draw u keyed by (seed, pulse index,
-draw index).  Three thresholds t0 <= t1 <= t2 split the draws into
-the click patterns given an event, in the order no click, D1 only, both, D2
-only, so D1 clicks if t0 <= u < t2 and D2 if u >= t1: three compares against
-scalars per event, with no table to search.  The run draws its gap stream
+click, P(event) = 1 - (1 - b1)(1 - b2) exp(-lambda).  Word k of the run's
+gap stream gives the geometric gap from event k - 1 to event k, and word k
+of its pattern stream the 64-bit draw u that decides whether D1 and D2
+click at event k; both streams are keyed by (seed, word index).  Three
+thresholds t0 <= t1 <= t2 split the draws into the click patterns given an
+event, in the order no click, D1 only, both, D2 only, so D1 clicks if
+t0 <= u < t2 and D2 if u >= t1: three compares against scalars per event,
+with no table to search.  A delayed window needs events one pulse apart,
+a gap of 1, so positions are summed only to find which events of the pass
+that crosses the run's end lie inside the run.  The run draws its streams
 in passes of at most ``rng.ROW_WORDS`` words, one after another in a single
 thread; each pass is one chunk.  A run is therefore bit-reproducible
 regardless of chunk size or worker count, and its cost grows with the number
@@ -47,10 +49,10 @@ Every chunk-sized intermediate is written with ``out=`` into flat buffers of
 one workspace per thread, which every chunk of a run and every later run on
 that thread reuse, so a warm run allocates no chunk-sized array and faults in
 no new pages.  A buffer that is dead by the time a later stage runs serves
-that stage too: the gap words become positions in place, and the positions
-below the run's end, a prefix of one rising row, are the chunk's events
-with no copy.  One pass draws at most ``rng.ROW_WORDS`` words, so the
-buffers stay near that size whatever the event chance.
+that stage too: the gap words become gaps in place, and on the pass that
+crosses the run's end the positions are summed into the buffer that the
+pattern words then overwrite.  One pass draws at most ``rng.ROW_WORDS``
+words, so the buffers stay near that size whatever the event chance.
 """
 
 from __future__ import annotations
@@ -295,8 +297,8 @@ def _gap_words(p_event: float, pulses: float) -> int:
 class _PulseTables:
     """Precomputed sampling tables shared by all chunks of one run."""
 
-    key: int  # pulse stream: per-event draws
-    gap_key: int  # gap stream: event positions
+    gap_key: int  # gap stream: the gap before each event
+    pattern_key: int  # pattern stream: each event's click-pattern draw
     log_q: float  # ln P(no pair and no background click) for one pulse
     # uint64 thresholds t0 <= t1 <= t2 of an event's draw u over the patterns
     # no click, D1 only, both, D2 only: D1 clicks if t0 <= u < t2, D2 if u >= t1
@@ -315,8 +317,8 @@ def _build_tables(probs, det: DetectorConfig, seed: int, lam: float) -> _PulseTa
         # c * 2**64 is exact, so int() floors it; a rounded cdf may pass 1
         thresholds = np.array([min(int(c * 2.0**64), rng.MASK64) for c in cdf], np.uint64)
     return _PulseTables(
-        key=rng.stream_key(seed),
         gap_key=rng.gap_stream_key(seed),
+        pattern_key=rng.pattern_stream_key(seed),
         log_q=log_q,
         thresholds=thresholds,
     )
@@ -358,63 +360,53 @@ def _thread_workspace() -> _Workspace:
 
 
 def _gap_pass(
-    tables: _PulseTables, first_word: int, last: float, words: np.ndarray, scratch: np.ndarray
+    tables: _PulseTables, first_word: int, words: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """Event positions after ``last`` from gap words ``first_word`` on of
-    the run's gap stream, one per item of ``words``, as a rising row.
+    """Gaps between events from gap words ``first_word`` on of the run's gap
+    stream, one per item of ``words``: gap k leads from the event before to
+    the event of word k.
 
-    The positions overwrite the words they come from, as a float64 view of
-    ``words``; ``scratch`` has ``words``' shape.  Each step is a geometric
-    gap floor(ln U / ln q) + 1 from one word w, with
+    The gaps overwrite the words they come from, as a float64 view of
+    ``words``; ``scratch`` has ``words``' shape.  Each gap is a geometric
+    step floor(ln U / ln q) + 1 from one word w, with
     U = 1 - (w >> 11) 2**-53 in (0, 1].  w >> 11 is below 2**53, so its int64
     view converts to float64 exactly, and the scaled value is exactly
-    -(w >> 11) 2**-53.  Steps are whole numbers of at least 1 and ``last``
-    is one too, so every partial sum below 2**53 is exact, and one at or
-    above it rounds to at least 2**53, past every run's end: a later pass
-    that starts from a row's last position gives the positions that one
-    longer pass gives, wherever they can count.
+    -(w >> 11) 2**-53.  Steps are whole numbers of at least 1, or +inf.
     """
     rng.stream_words(tables.gap_key, first_word, out=words, scratch=scratch)
     np.right_shift(words, np.uint64(11), out=scratch)
-    pos = words.view(np.float64)
-    np.copyto(pos, scratch.view(np.int64))
-    pos *= -(2.0**-53)
+    steps = words.view(np.float64)
+    np.copyto(steps, scratch.view(np.int64))
+    steps *= -(2.0**-53)
     # U lies in (0, 1], so each step is finite or +inf, never NaN
-    np.log1p(pos, out=pos)
-    pos /= tables.log_q
-    np.floor(pos, out=pos)
-    pos += 1.0
-    pos[0] += last
-    return pos.cumsum(out=pos)
+    np.log1p(steps, out=steps)
+    steps /= tables.log_q
+    np.floor(steps, out=steps)
+    steps += 1.0
+    return steps
 
 
 def _run_chunk(
-    tables: _PulseTables, events: np.ndarray, ws: _Workspace
+    tables: _PulseTables, u: np.ndarray, steps: np.ndarray, ws: _Workspace
 ) -> tuple[int, int, int, int, bool, bool]:
-    """Tallies of the event pulses ``events``, a rising row: singles,
-    coincidences, accidentals within the row, and whether D1 clicks at its
-    last event and D2 at its first, to stitch accidentals across chunks.
-    Every chunk-sized intermediate lives in ``ws``."""
-    n = events.size
+    """Tallies of a chunk's events, given their pattern draws ``u`` and the
+    gaps ``steps`` before them: singles, coincidences, accidentals within
+    the chunk, and whether D1 clicks at its last event and D2 at its first,
+    to stitch accidentals across chunks.  Every chunk-sized intermediate
+    lives in ``ws``."""
+    n = u.size
     if n == 0:
         return 0, 0, 0, 0, False, False
-    keys = ws.take("keys", n, np.uint64)
-    scratch = ws.take("scratch", n, np.uint64)
-    # whole numbers below 2**53: the cast to int64 is exact, and faster than to uint64
-    np.copyto(keys.view(np.int64), events, casting="unsafe")
-    rng.pulse_keys(tables.key, keys, out=keys, scratch=scratch)
-    rng.draw_at(keys, 0, out=keys, scratch=scratch)  # the click pattern: an event's only draw
     t0, t1, t2 = tables.thresholds
-    d1 = np.greater_equal(keys, t0, out=ws.take("d1", n, np.bool_))
-    d1 &= np.less(keys, t2, out=ws.take("mask", n, np.bool_))
-    d2 = np.greater_equal(keys, t1, out=ws.take("d2", n, np.bool_))
+    d1 = np.greater_equal(u, t0, out=ws.take("d1", n, np.bool_))
+    d1 &= np.less(u, t2, out=ws.take("mask", n, np.bool_))
+    d2 = np.greater_equal(u, t1, out=ws.take("d2", n, np.bool_))
     singles1 = int(np.count_nonzero(d1))
     singles2 = int(np.count_nonzero(d2))
     both = np.logical_and(d1, d2, out=ws.take("mask", n, np.bool_))
     coincidences = int(np.count_nonzero(both))
     # D1 at one event pulse and D2 at the next, when that is the next pulse
-    after = np.add(events[:-1], 1.0, out=scratch[:-1].view(np.float64))
-    delayed = np.equal(events[1:], after, out=both[:-1])
+    delayed = np.equal(steps[1:], 1.0, out=both[:-1])
     np.logical_and(delayed, d1[:-1], out=delayed)
     np.logical_and(delayed, d2[1:], out=delayed)
     accidentals = int(np.count_nonzero(delayed))
@@ -422,11 +414,21 @@ def _run_chunk(
 
 
 def _count_run(tables: _PulseTables, n: int, ws: _Workspace) -> CountRecord:
-    """Tallies of one run of ``n`` pulses, one chunk per pass of its gap stream.
+    """Tallies of one run of ``n`` pulses, one chunk per pass of its streams.
 
-    Each pass draws the stream's next words, at most ``rng.ROW_WORDS``, as a
-    rising row of positions in ``ws``; those below ``n`` are the chunk's
-    events, and the next pass starts from the row's last position.
+    Each pass turns the gap stream's next words, at most ``rng.ROW_WORDS``,
+    into gaps in ``ws``; ``end``, ``last`` plus their sum, is the position
+    of its last event.  A pass that ends before pulse n - 1 is all events,
+    and the next pass starts from ``end``.  The pass that ends at or past
+    it, the run's last, sums its gaps from ``last`` into positions, and
+    those below n are its events.  Either way the events' pattern words
+    fill the ``keys`` buffer.
+
+    Gaps are whole numbers, so a sum below 2**53 is exact in any order, and
+    one at or above it rounds to at least 2**53.  Then ``end`` is at least
+    2**53 - 1 >= n - 1, and the pass takes the running sums, whose positions
+    at or past 2**53 round to at least n.  An ``end`` of n - 1 takes them
+    too: at n = 2**53 it may hide a true end one pulse later.
     """
     if tables.log_q == 0.0:  # no event pulses
         return CountRecord(n, 0, 0, 0, 0)
@@ -434,15 +436,22 @@ def _count_run(tables: _PulseTables, n: int, ws: _Workspace) -> CountRecord:
     tallies, last, drawn, d1_last = (0, 0, 0, 0), -1.0, 0, False
     while last < n - 1:
         words = min(_gap_words(p_event, n - 1 - last), rng.ROW_WORDS)
-        pos = _gap_pass(tables, drawn, last, ws.take("words", words, np.uint64),
-                        ws.take("scratch", words, np.uint64))
-        events = pos[: pos.searchsorted(n)]
-        *counts, d1_end, d2_start = _run_chunk(tables, events, ws)
+        scratch = ws.take("scratch", words, np.uint64)
+        steps = _gap_pass(tables, drawn, ws.take("words", words, np.uint64), scratch)
+        keys = ws.take("keys", words, np.uint64)
+        end, m = last + float(steps.sum()), words
+        if end >= n - 1:  # the pass that crosses the run's end
+            pos = keys.view(np.float64)
+            np.copyto(pos, steps)
+            pos[0] += last
+            m = int(np.cumsum(pos, out=pos).searchsorted(n))
+        u = rng.stream_words(tables.pattern_key, drawn, out=keys[:m], scratch=scratch[:m])
+        *counts, d1_end, d2_start = _run_chunk(tables, u, steps[:m], ws)
         # a delayed window across the chunk bound: D1 on the previous chunk's
-        # last event, which is ``last``, and D2 on the pulse after it
-        counts[3] += bool(d1_last and d2_start and events[0] == last + 1)
+        # last event and D2 on the pulse after it
+        counts[3] += bool(d1_last and d2_start and steps[0] == 1.0)
         tallies = tuple(map(sum, zip(tallies, counts)))
-        drawn, last, d1_last = drawn + words, pos[-1], d1_end
+        drawn, last, d1_last = drawn + words, end, d1_end
     return CountRecord(n, *tallies)
 
 
@@ -481,19 +490,20 @@ def simulate_run(
 ) -> CountRecord:
     """Simulate ``run.n_pulses`` windows and tally counts.
 
-    Only pulses with a pair or a background click are visited.  Their
-    positions come from one gap stream per run, keyed by (seed, word); each
-    such pulse draws whether D1 and D2 click in one draw keyed by (seed,
-    pulse, draw), compared with three thresholds built on
+    Only pulses with a pair or a background click are visited.  Word k of
+    the run's gap stream gives the gap before event k, and word k of its
+    pattern stream whether D1 and D2 click there, both keyed by (seed,
+    word); the draw is compared with three thresholds built on
     :func:`pair_click_probs`, so no pair is counted and no photon is routed
-    one by one.  The stream is drawn in passes of at most ``rng.ROW_WORDS``
-    words, one chunk each, that run one after another in this thread, in
-    this thread's workspace.  The result depends only on (seed, configs):
-    ``chunk_size``, a positive int or ``None``, is kept for compatibility
-    and has no effect, as ``run.workers`` has none.  The counts for a given
-    seed differ from those of earlier samplers, which split the gap stream
-    into blocks, drew each event's pair number or routed every pair photon
-    by photon; their statistics do not.  Non-finite analyzer angles raise
+    one by one.  The streams are drawn in passes of at most
+    ``rng.ROW_WORDS`` words, one chunk each, that run one after another in
+    this thread, in this thread's workspace.  The result depends only on
+    (seed, configs): ``chunk_size``, a positive int or ``None``, is kept for
+    compatibility and has no effect, as ``run.workers`` has none.  The
+    counts for a given seed differ from those of earlier samplers, which
+    keyed each event's draw by its pulse index, split the gap stream into
+    blocks, drew each event's pair number or routed every pair photon by
+    photon; their statistics do not.  Non-finite analyzer angles raise
     ``ValueError``.  This is the one-angle case of :func:`simulate_scan`.
     """
     if chunk_size is not None and chunk_size < 1:

@@ -1,9 +1,11 @@
 """Counter-based random number streams for reproducible parallel simulation.
 
-Every uniform variate is addressed by (seed, pulse index, draw index), or by
-(seed, word index) in the gap stream, instead of being pulled from a
-sequential generator, so any word can be computed directly from its address
-and any split of a run into passes reproduces bit-identical outcomes.  The
+Every uniform variate is word k of a keyed stream, addressed by (seed, word
+index), instead of being pulled from a sequential generator, so any word can
+be computed directly from its address and any split of a run into passes
+reproduces bit-identical outcomes.  A run reads two streams of its seed: the
+gap stream, which places its event pulses, and the pattern stream, whose
+word k is the click-pattern draw of the event that gap word k places.  The
 mixing function is the splitmix64 output finalizer (Stafford mix 13) applied
 to a Weyl sequence, a standard construction for keyed counter streams.
 
@@ -18,23 +20,23 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 
-# Weyl increments: the golden-ratio gamma for the pulse-level stream and an
-# independent odd constant for draws within one pulse and for the words of
-# the gap stream; GAP_GAMMA offsets the seed of the gap stream from that of
-# the pulse-level one.
+# Weyl increments: DRAW_GAMMA steps from one word of a stream to the next;
+# PULSE_GAMMA (the golden ratio), GAP_GAMMA and PATTERN_GAMMA (2**64 over the
+# plastic number) offset a seed before it is whitened into the key of the
+# seed stream, the gap stream and the pattern stream.
 PULSE_GAMMA = 0x9E3779B97F4A7C15
 DRAW_GAMMA = 0xD1B54A32D192ED03
 GAP_GAMMA = 0x8CB92BA72F3D8DD7
+PATTERN_GAMMA = 0xC13FA9A902A6328F
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
-_PULSE_GAMMA_U64 = np.uint64(PULSE_GAMMA)
 
-# The most words one stream_words call returns, and so one pass of the gap
-# stream draws.
+# The most words one stream_words call returns, and so one pass of a run
+# draws from each of its streams.
 ROW_WORDS = (1 << 15) + (1 << 10)
 
 
@@ -72,65 +74,37 @@ def mix64_int(x: int) -> int:
 
 
 def stream_key(seed: int) -> int:
-    """Whiten a user seed into the base key of the pulse-level stream."""
+    """Whiten a user seed into the key of its seed stream, whose words are
+    the child seeds of :func:`derive_seed`."""
     return mix64_int((seed & MASK64) + PULSE_GAMMA)
 
 
 def gap_stream_key(seed: int) -> int:
-    """Whiten a user seed into the key of the gap stream.
-
-    Its words are drawn like the draws of one pulse key (:func:`draw_at`),
-    from a key apart from :func:`stream_key`; :func:`stream_words` gives a
-    run of them.
-    """
+    """Whiten a user seed into the key of the gap stream, whose word k
+    places a run's k-th event pulse; :func:`stream_words` gives a run of
+    its words."""
     return mix64_int((seed & MASK64) + GAP_GAMMA)
 
 
+def pattern_stream_key(seed: int) -> int:
+    """Whiten a user seed into the key of the pattern stream, whose word k
+    is the click-pattern draw of the event that gap word k places."""
+    return mix64_int((seed & MASK64) + PATTERN_GAMMA)
+
+
 def derive_seed(seed: int, index: int) -> int:
-    """Child seed for an independent sub-stream (e.g. one per scan angle)."""
+    """Child seed for an independent sub-stream (e.g. one per scan angle):
+    word ``index`` of the seed stream."""
     return mix64_int(stream_key(seed) + (index + 1) * DRAW_GAMMA)
-
-
-def pulse_keys(
-    key: int,
-    pulse_indices: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-pulse hash keys for a uint64 array of pulse indices.
-
-    ``out`` (which may be ``pulse_indices`` itself) receives the keys and
-    ``scratch`` serves :func:`mix64`; both default to new arrays.
-    """
-    z = np.multiply(pulse_indices, _PULSE_GAMMA_U64, out=out)
-    z += np.uint64(key)
-    return mix64(z, scratch)
-
-
-def draw_at(
-    keys: np.ndarray,
-    draw_index: int,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Uniform uint64 draws, draw number ``draw_index`` of every pulse key.
-
-    ``out`` (which may be ``keys`` itself) receives the draws and
-    ``scratch``, of the keys' shape, serves :func:`mix64`; both default to
-    new arrays.
-    """
-    # Python ints wrap without the overflow warning of numpy scalar arithmetic
-    off = np.uint64((draw_index + 1) * DRAW_GAMMA & MASK64)
-    return mix64(np.add(keys, off, out=out), scratch)
 
 
 def stream_words(key: int, first_word: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Words ``first_word``, ``first_word + 1``, ... of the stream with key
     ``key``, as many as ``out`` holds, at most ``ROW_WORDS``.
 
-    Word k equals ``draw_at([key], k)``, mix64(key + (k + 1) DRAW_GAMMA): the
-    draw offsets come from a table built once, so no index array is formed
-    per call.  ``scratch``, of ``out``'s shape, serves :func:`mix64`.
+    Word k is mix64(key + (k + 1) DRAW_GAMMA), its index wrapping modulo
+    2**64: the offsets come from a table built once, so no index array is
+    formed per call.  ``scratch``, of ``out``'s shape, serves :func:`mix64`.
     """
     start = np.uint64((key + first_word * DRAW_GAMMA) & MASK64)
     return mix64(np.add(_row_offsets()[: out.size], start, out=out), scratch)

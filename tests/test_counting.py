@@ -337,13 +337,17 @@ def _pass_pulses(cfg, det):
     return int(rng.ROW_WORDS / -np.expm1(_tables(cfg, det).log_q))
 
 
+def _pass_steps(tables, first_word, words):
+    """``words`` gaps from gap word ``first_word`` on, in a new workspace."""
+    ws = counting._Workspace()
+    return counting._gap_pass(tables, first_word, ws.take("words", words, np.uint64),
+                              ws.take("scratch", words, np.uint64))
+
+
 def _first_pass_end(tables):
     """The last position of a full first pass: a run longer than it by two
     or more pulses draws a second pass."""
-    ws = counting._Workspace()
-    words = rng.ROW_WORDS
-    pos = counting._gap_pass(tables, 0, -1.0, ws.take("words", words, np.uint64),
-                             ws.take("scratch", words, np.uint64))
+    pos = -1.0 + np.cumsum(_pass_steps(tables, 0, rng.ROW_WORDS))
     return int(pos[-1])
 
 
@@ -373,9 +377,9 @@ def test_a_64_word_pass_cap_gives_the_same_counts(monkeypatch):
     expected = simulate_run(cfg, 0.2, 0.9, det, run)
     sizes, gap_pass = [], counting._gap_pass
 
-    def spy(tables, first_word, last, words, scratch):
+    def spy(tables, first_word, words, scratch):
         sizes.append(words.size)
-        return gap_pass(tables, first_word, last, words, scratch)
+        return gap_pass(tables, first_word, words, scratch)
 
     monkeypatch.setattr(counting, "_gap_pass", spy)
     monkeypatch.setattr(rng, "ROW_WORDS", 64)
@@ -388,14 +392,13 @@ def test_event_pulse_count_is_binomial(lam, b1, b2):
     """Walk the gap stream pass by pass, as a run of n pulses does."""
     n = 1_000_000
     tables = _tables(SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, b1, b2), 77)
-    ws, count, drawn, last = counting._Workspace(), 0, 0, -1.0
+    count, drawn, last = 0, 0, -1.0
     while last < n - 1:
-        words = rng.ROW_WORDS
-        pos = counting._gap_pass(tables, drawn, last, ws.take("words", words, np.uint64),
-                                 ws.take("scratch", words, np.uint64))
-        assert pos[0] > last and np.all(np.diff(pos) > 0)
+        steps = _pass_steps(tables, drawn, rng.ROW_WORDS)
+        assert np.all(steps >= 1.0) and np.all(steps == np.floor(steps))
+        pos = last + np.cumsum(steps)
         count += pos.searchsorted(n)
-        drawn, last = drawn + words, pos[-1]
+        drawn, last = drawn + steps.size, pos[-1]
     p_event = 1 - (1 - b1) * (1 - b2) * np.exp(-lam)
     assert _binomial_ok(count, n, p_event), (count, n * p_event)
 
@@ -436,6 +439,61 @@ def test_one_more_pulse_adds_at_most_one_to_each_tally(lam):
         assert coinc <= min(d1, d2) and acc <= d2, (n, a, b)
         if lam == 1000.0:
             assert b == CountRecord(n + 1, n + 1, n + 1, n + 1, n), (n, b)
+
+
+def _reference_record(tables, n):
+    """A run's tallies the long way: every full pass of gap words summed
+    into positions from the last, each event's pattern word drawn by its
+    word index, clicks read from the thresholds and accidentals from
+    neighbouring positions."""
+    positions, draws, drawn, last = [], [], 0, -1.0
+    while last < n - 1:
+        pos = np.cumsum(np.concatenate([[last], _pass_steps(tables, drawn, rng.ROW_WORDS)]))[1:]
+        u = np.empty(rng.ROW_WORDS, np.uint64)
+        rng.stream_words(tables.pattern_key, drawn, out=u, scratch=np.empty_like(u))
+        positions.append(pos[pos < n])
+        draws.append(u[pos < n])
+        drawn, last = drawn + rng.ROW_WORDS, pos[-1]
+    pos, u = np.concatenate(positions), np.concatenate(draws)
+    t0, t1, t2 = tables.thresholds
+    d1, d2 = (u >= t0) & (u < t2), u >= t1
+    delayed = (np.diff(pos) == 1.0) & d1[:-1] & d2[1:]
+    return CountRecord(n, *(int(np.count_nonzero(x)) for x in (d1, d2, d1 & d2, delayed)))
+
+
+@pytest.mark.parametrize("lam, b", [(2.0, 1e-3), (1000.0, 1e-3), (1e-6, 0.0)])
+def test_runs_match_a_reference_that_sums_every_pass(lam, b):
+    """Passes that end before the run's last pulse are tallied from their
+    gaps alone, and only the pass that reaches it from positions: a run of
+    n pulses, for n at and around the end of the first full pass, counts
+    what a reference that sums every pass counts.  At lambda = 1e-6 with no
+    background the gaps are about 1e6 pulses, and the end lies near 3.4e10;
+    at this seed the event there clicks, so a run that counted it past n
+    would differ."""
+    cfg, det = SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, b, b)
+    tables = _tables(cfg, det, seed=2)
+    end = _first_pass_end(tables)
+    for n in (end - 1, end, end + 1):
+        got = simulate_run(cfg, 0.0, 0.0, det, RunConfig(n, seed=2))
+        assert got == _reference_record(tables, n), n
+
+
+def test_a_pass_whose_gaps_round_to_the_last_pulse_counts_exactly(monkeypatch):
+    """At n = 2**53 gaps of 2**52, 2**52 and 1 from pulse -1 sum to
+    2**53 + 1, which rounds to 2**53, so the pass seems to end at pulse
+    n - 1; its positions are exact, and its third event lies past the run.
+    At lambda = 1000 every event clicks both detectors."""
+    cfg, det = SourceConfig(mean_pairs_per_pulse=1000.0), DetectorConfig()
+
+    def gaps(tables, first_word, words, scratch):
+        steps = words.view(np.float64)
+        steps[:] = [2.0**52, 2.0**52, 1.0]
+        return steps
+
+    monkeypatch.setattr(counting, "_gap_words", lambda p_event, pulses: 3)
+    monkeypatch.setattr(counting, "_gap_pass", gaps)
+    n = counting.MAX_N_PULSES
+    assert simulate_run(cfg, 0.0, 0.0, det, RunConfig(n, seed=3)) == CountRecord(n, 2, 2, 2, 0)
 
 
 def _decoded_rates(tables):
@@ -513,10 +571,11 @@ def test_no_events_without_pairs_or_background():
         assert rec == CountRecord(n, 0, 0, 0, 0)
 
 
-# CountRecords of the three-threshold pattern draw over one gap stream per
-# run, which every chunk size and worker count must repeat exactly.
-_FIG3_RECORD = CountRecord(1_000_000, 5895, 5254, 1004, 26)
-_DENSE_RECORD = CountRecord(200_000, 91024, 81726, 48922, 37138)
+# CountRecords of the three-threshold pattern draw, each event's draw taken
+# from the pattern stream beside its gap word, which every chunk size and
+# worker count must repeat exactly.
+_FIG3_RECORD = CountRecord(1_000_000, 5822, 5215, 907, 28)
+_DENSE_RECORD = CountRecord(200_000, 91057, 81364, 48532, 37223)
 
 
 @pytest.mark.parametrize("workers, chunk", [(1, None), (2, None), (1, 77_777), (2, 77_777)])
@@ -642,31 +701,31 @@ def test_warm_kernel_allocates_no_chunk_sized_array(setting):
 
 # --- pinned records ----------------------------------------------------------------
 
-# Captured when event pulses came to be placed by one gap stream per run,
-# keyed by (seed, word), instead of one per block of the run: the SHA-256
-# over the records of the 136 runs of _digest_runs, one line each in
-# _record_line's format, and the first 8 hex digits of each line's own SHA-256,
-# which locate the first record that changed.  A change that alters counts on
-# purpose recaptures both.
-_RECORDS_SHA256 = "642de19d2decd27089bf26655cc6f8348a74e1a1fd03715e31ebbd0b023a2b7b"
+# Captured when each event's click-pattern draw came to be word k of the
+# run's pattern stream, beside gap word k, instead of a draw keyed by the
+# event's pulse index: the SHA-256 over the records of the 136 runs of
+# _digest_runs, one line each in _record_line's format, and the first 8 hex
+# digits of each line's own SHA-256, which locate the first record that
+# changed.  A change that alters counts on purpose recaptures both.
+_RECORDS_SHA256 = "0f542713ee8452070d1610d7e664053d0fff00921ae3ef19d3e0fbf72cb83e9b"
 _RECORD_TAGS = (
-    "f2493f1f0c4b7ea3d0950ef409870cd8d39786f6aba085d58b850965454cf770"
-    "19a908387bbfb9a2089ee2d941fb45c49c60b4cddbeca9525f14465d9b9c8afa"
-    "bb962e437bd8ddc7706f58611b85759730f9f2790678da05112b445904861452"
-    "a1c5a2f215fb92118a6411a102f65c9845e14ee0155ea4e76ac17ba49b501a52"
-    "9df92d39db42604e8b7bf8457392393c95b3be2aa2c4e66084ae3f0dd594f718"
-    "c066cfbfeedcb3699f7049cbcd81775d72d8d190ba9bd1db542a8d59e3dfd805"
-    "16ceae1f829b5d0c3772cef0909bef41e2cdb50ee0e961abddbda4fe48350431"
-    "ff91e513dba4bc4c711783ff69787ab54b451b45028e04068f15b04573d242ad"
-    "465ec8334057f3d6c7229c42bdbfc6d9e56d47fe2fe176e2e290408c66322c15"
-    "cc01343189317be58ee9d94c778e10844cb45cf23c8a059af587743a2f749130"
-    "f12addf7fd9140d6d874f209eeba5392a46432c00247607afa489f27fb38a342"
-    "810b42cde684502cd40c4bdc3d93a4d3790d471192074fc578b1b4c81b6adb6b"
-    "2e0dfbc7afa9bc3f2106f6f4729f0cafceb7fb19dadd68585e025c42eb45784e"
-    "dd2df449391a651ec864679475e7257ff77df3d9d3c4f5fd3cb95c1d494fa6f1"
-    "d75796b733b3f887e7c475c6f9b0d244464b036c4e4f935da61404587c4fbe5b"
-    "7735b83856a5f69cecad119c5bb6259d7aa93fdb17a537f144a2bb25551c010e"
-    "57097e922cd580ffabca4fe03a2d19d23ea6614a774a2805b3c4c3735eb35e8e"
+    "15e87a053eb2463812f084c2b9056fdf942ee372e0171aed7ca71bf0bb8eccd1"
+    "9cca7941779e0a72f7d2ad0625ad919ae03322a5b1a4ec294890f4d0618a2451"
+    "3edfb869af7ce9414a9e55b7a113574eb64ea2c242c324a1efde0f42f52f9624"
+    "a2c6bb0997cec1f038af07344a0d989e472c87f0680837a05ac01618f265399c"
+    "36a25a74ad74301db42acf9521d3e9aaf454427c06cb628ae65cd3b00498d398"
+    "2e926fe9c62c14c58854da609806f2282baddf6a335865c5e54913a057847f61"
+    "2df5986e9f413a2dea06b25c51d90e916cb5d6b71799d58da2e4ba70fa9ce2f9"
+    "d2a1ca547035e974772ca8fc6eeb439a13f994dc59b26bb237655486f30294e5"
+    "4c0ba756238f4f8f7b0268350d4a3a3f72b02e2c90b4962c9119485ca3c6d34c"
+    "0cf15cd46a37f94c61aec17140a32d44f1fd918f9314d46b339fa26f05924f8a"
+    "22ad3a5e4e5061a2a9d85e336140eb72bc4c7185d851d9ee1aa6fd060fa84793"
+    "654618c504c4bd430c2662d951a7927e0bd8e37b9ec94ea05ef52a527c844f0e"
+    "ea20c1c69619bb19e98b57237cdf6d913af861dd2f1831f364ba10a20c4fdecd"
+    "74b9d548ec220415b2873e29ea8f2e414df9d30c8748d8d9a774df751353eb88"
+    "c15105ddf825218322461547ac26fcecdee6e8169ae02985715aa95cbc69abaf"
+    "74ba758f2262ebd7726ab3674df7e206c9ae973f9da46938c15159cff4a451b6"
+    "dd8f7b2894504b09022fc8d020a1b6fccc3612579d448cc9d636289d74f74365"
 )
 
 

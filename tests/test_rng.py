@@ -14,41 +14,34 @@ def _unit(words):
     return (words >> np.uint64(11)) * 2.0**-53
 
 
+def _words(key, first, n):
+    """Words first, ..., first + n - 1 of the stream with key ``key``, one
+    ``stream_words`` row at a time."""
+    out = np.empty(n, np.uint64)
+    for lo in range(0, n, rng.ROW_WORDS):
+        row = out[lo : lo + rng.ROW_WORDS]
+        rng.stream_words(key, first + lo, out=row, scratch=np.empty_like(row))
+    return out
+
+
 def test_draws_are_position_addressed():
-    key = rng.stream_key(987654321)
-    pulses = np.arange(0, 1000, dtype=np.uint64)
-    keys = rng.pulse_keys(key, pulses)
-    full = rng.draw_at(keys, 3)
+    key = rng.pattern_stream_key(987654321)
+    full = _words(key, 0, 1000)
     # any sub-slice reproduces the same values: no sequential state
-    part = rng.draw_at(rng.pulse_keys(key, pulses[400:500]), 3)
-    np.testing.assert_array_equal(full[400:500], part)
+    np.testing.assert_array_equal(full[400:500], _words(key, 400, 100))
 
 
-def test_draw_at_matches_scalar_draw():
-    keys = rng.pulse_keys(rng.stream_key(5), np.arange(257, dtype=np.uint64))
-    # draw indices wrap modulo 2**64, as the scalar arithmetic does
-    for index in (0, 7, rng.MASK64 - 1, rng.MASK64):
-        scalar = [rng.mix64_int(int(k) + (index + 1) * rng.DRAW_GAMMA) for k in keys]
-        assert [int(w) for w in rng.draw_at(keys, index)] == scalar
-        out = np.empty_like(keys)
-        got = rng.draw_at(keys, index, out=out, scratch=np.empty_like(keys))
-        assert got is out
-        assert [int(w) for w in got] == scalar
-
-
-def test_an_int_draw_index_matches_the_array_index():
-    # stream_words adds a table of draw offsets, one per word index, to one key
-    keys = rng.pulse_keys(rng.stream_key(6), np.arange(257, dtype=np.uint64))
-    for index in (0, 7, rng.MASK64 - 1, rng.MASK64):
-        expected = np.array(
-            [rng.stream_words(int(k), index, out=np.empty(1, np.uint64),
-                              scratch=np.empty(1, np.uint64))[0] for k in keys],
-            dtype=np.uint64)
-        np.testing.assert_array_equal(rng.draw_at(keys, index), expected)
-        out = np.empty_like(keys)
-        got = rng.draw_at(keys, index, out=out, scratch=np.empty_like(keys))
-        assert got is out
-        np.testing.assert_array_equal(got, expected)
+def test_pattern_stream_words_match_scalar_draw():
+    """Every word of the pattern stream follows the scalar formula, from a
+    key apart from the gap stream's and the seed stream's of one seed."""
+    key = rng.pattern_stream_key(5)
+    assert len({key, rng.gap_stream_key(5), rng.stream_key(5)}) == 3
+    # word indices wrap modulo 2**64, as the scalar arithmetic does
+    for first, n in ((0, 1), (7, 257), (rng.MASK64 - 1, 3)):
+        row = np.empty(n, np.uint64)
+        assert rng.stream_words(key, first, out=row, scratch=np.empty_like(row)) is row
+        scalar = [rng.mix64_int(key + (first + j + 1) * rng.DRAW_GAMMA) for j in range(n)]
+        assert [int(w) for w in row] == scalar
 
 
 def test_stream_words_are_draws_of_the_gap_key():
@@ -81,27 +74,26 @@ def test_the_offset_table_is_built_on_first_use():
 
 
 def test_distinct_draw_indices_decorrelate():
-    key = rng.stream_key(11)
-    keys = rng.pulse_keys(key, np.arange(200_000, dtype=np.uint64))
-    a = _unit(rng.draw_at(keys, 0))
-    b = _unit(rng.draw_at(keys, 1))
-    assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
+    """Gap word k and pattern word k of one seed, which go with the same
+    event, are uncorrelated, as are neighbouring words of one stream."""
+    gap = _unit(_words(rng.gap_stream_key(11), 0, 200_000))
+    pattern = _unit(_words(rng.pattern_stream_key(11), 0, 200_001))
+    assert abs(np.corrcoef(gap, pattern[:-1])[0, 1]) < 0.01
+    assert abs(np.corrcoef(pattern[:-1], pattern[1:])[0, 1]) < 0.01
 
 
 def test_uniformity_moments():
-    key = rng.stream_key(2024)
-    keys = rng.pulse_keys(key, np.arange(1_000_000, dtype=np.uint64))
-    u = _unit(rng.draw_at(keys, 0))
+    u = _unit(_words(rng.pattern_stream_key(2024), 0, 1_000_000))
     assert 0.0 <= u.min() and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 5 * (1 / np.sqrt(12e6))
     assert abs(u.var() - 1 / 12) < 5e-4
 
 
 def test_seeds_change_everything():
-    pulses = np.arange(1000, dtype=np.uint64)
-    a = rng.draw_at(rng.pulse_keys(rng.stream_key(1), pulses), 0)
-    b = rng.draw_at(rng.pulse_keys(rng.stream_key(2), pulses), 0)
-    assert (a != b).mean() > 0.999
+    for stream_key in (rng.gap_stream_key, rng.pattern_stream_key):
+        a = _words(stream_key(1), 0, 1000)
+        b = _words(stream_key(2), 0, 1000)
+        assert (a != b).mean() > 0.999
 
 
 def test_derive_seed_is_deterministic_and_spread():
@@ -118,14 +110,11 @@ def test_mix64_int_matches_vector_mix():
 
 
 def test_out_and_scratch_buffers_change_no_bits():
-    pulses = np.arange(3, 3000, 7, dtype=np.uint64)
-    keys = rng.pulse_keys(rng.stream_key(8), pulses)
-    out = pulses.copy()
-    scratch = np.empty_like(out)
-    assert rng.pulse_keys(rng.stream_key(8), out, out=out, scratch=scratch) is out
-    np.testing.assert_array_equal(out, keys)
-    np.testing.assert_array_equal(
-        rng.draw_at(keys, 5, out=np.empty_like(keys), scratch=np.empty_like(keys)),
-        rng.draw_at(keys, 5))
+    key = rng.pattern_stream_key(8)
+    expected = _words(key, 3, 3000)
+    out = np.full(3000, rng.MASK64, np.uint64)
+    scratch = np.arange(3000, dtype=np.uint64)
+    assert rng.stream_words(key, 3, out=out, scratch=scratch) is out
+    np.testing.assert_array_equal(out, expected)
     z = np.array([0, 1, 2**63, rng.MASK64], dtype=np.uint64)
     np.testing.assert_array_equal(rng.mix64(z.copy(), np.empty_like(z)), rng.mix64(z.copy()))

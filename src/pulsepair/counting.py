@@ -23,21 +23,23 @@ P(no D1) = (1 - b1)(1 - s1)^k and
 P(neither) = (1 - b1)(1 - b2)(1 - s1 - s2 + s12)^k; summed over the Poisson
 pair number these become P(no D1) = (1 - b1) exp(-lambda s1) and
 P(neither) = (1 - b1)(1 - b2) exp(-lambda (s1 + s2 - s12)).  The Monte Carlo
-visits only event pulses: those with at least one pair or a background
-click, P(event) = 1 - (1 - b1)(1 - b2) exp(-lambda).  Word k of the run's
-gap stream gives the geometric gap from event k - 1 to event k, and word k
-of its pattern stream the 64-bit draw u that decides whether D1 and D2
-click at event k; both streams are keyed by (seed, word index).  Three
-thresholds t0 <= t1 <= t2 split the draws into the click patterns given an
-event, in the order no click, D1 only, both, D2 only, so D1 clicks if
-t0 <= u < t2 and D2 if u >= t1: three compares against scalars per event,
-with no table to search.  A delayed window needs events one pulse apart,
-a gap of 1, so positions are summed only to find which events of the pass
-that crosses the run's end lie inside the run.  The run draws its streams
-in passes of at most ``rng.ROW_WORDS`` words, one after another in a single
-thread; each pass is one chunk.  A run is therefore bit-reproducible
-regardless of chunk size or worker count, and its cost grows with the number
-of event pulses, not of pulses or pairs.
+visits only click pulses: those where D1 or D2 clicks, P(click) = 1 - Q with
+Q = P(neither).  A pulse where no detector clicks feeds no tally, so it is
+skipped like an empty one.  Word k of the run's gap stream gives the
+geometric gap from click pulse k - 1 to click pulse k, and word k of its
+pattern stream the 64-bit draw u that decides which detectors click there;
+both streams are keyed by (seed, word index).  Two thresholds t1 <= t2 split
+the draws into the click patterns given a click pulse, in the order D1 only,
+both, D2 only, so D1 clicks if u < t2 and D2 if u >= t1: two compares
+against scalars per click pulse, with no table to search.  Every click pulse
+clicks one detector at least, so the coincidences are the singles' excess
+over the click pulses.  A delayed window needs click pulses one pulse
+apart, a gap of 1, so positions are summed only to find which click pulses
+of the pass that crosses the run's end lie inside the run.  The run draws
+its streams in passes of at most ``rng.ROW_WORDS`` words, one after another
+in a single thread; each pass is one chunk.  A run is therefore
+bit-reproducible regardless of chunk size or worker count, and its cost
+grows with the number of click pulses, not of pulses or pairs.
 
 A scan (:func:`simulate_scan`) is one run per analyzer-1 angle, point i
 seeded by ``rng.derive_seed(seed, i)``.  The emitted state and the click
@@ -52,7 +54,7 @@ no new pages.  A buffer that is dead by the time a later stage runs serves
 that stage too: the gap words become gaps in place, and on the pass that
 crosses the run's end the positions are summed into the buffer that the
 pattern words then overwrite.  One pass draws at most ``rng.ROW_WORDS``
-words, so the buffers stay near that size whatever the event chance.
+words, so the buffers stay near that size whatever the click chance.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from .polarization import pass_probability
 from .source import SourceConfig, emitted_state
 
 FIRST_ORDER_LAMBDA_LIMIT = 0.1
-# Event positions are float64 pulse indices, exact up to 2**53.
+# Click pulse positions are float64 pulse indices, exact up to 2**53.
 MAX_N_PULSES = 1 << 53
 
 
@@ -244,6 +246,84 @@ def expected_rates(
     return ExpectedRates(*rates)
 
 
+def _log_neither(lam, b1, b2, s1, s2, s12):
+    """ln Q, Q = P(neither detector clicks in a pulse) =
+    (1 - b1)(1 - b2) exp(-lam (s1 + s2 - s12))."""
+    return np.log1p(-b1) + np.log1p(-b2) - lam * (s1 + s2 - s12)
+
+
+def _event_patterns(lam, b1, b2, s1, s2, s12) -> tuple:
+    """Per-pulse probabilities of a click pulse's patterns: D1 only, both,
+    D2 only.  They sum to P(click) = 1 - Q.
+
+    (s1, s2, s12) are one pair's click probabilities from
+    :func:`pair_click_probs` and b1, b2 the background probabilities.  Summed
+    over the Poisson pair number, A = P(no D1) = (1 - b1) exp(-lam s1),
+    B = P(no D2) = (1 - b2) exp(-lam s2) and Q = P(neither) =
+    (1 - b1)(1 - b2) exp(-lam (s1 + s2 - s12)).  The patterns are B - Q,
+    1 - A - B + Q and A - Q; each is written as survival factors times
+    -expm1 of a nonpositive argument, so no near-equal terms are subtracted
+    at small lam and nothing overflows at large lam.  Arrays of (s1, s2, s12)
+    pass through.
+    """
+    l1, l2 = np.log1p(-b1), np.log1p(-b2)
+    # one pair's chance of D1 alone and of D2 alone, never below 0
+    only1, only2 = np.maximum(s1 - s12, 0.0), np.maximum(s2 - s12, 0.0)
+    neither = np.exp(_log_neither(lam, b1, b2, s1, s2, s12))
+    return (
+        -np.exp(l2 - lam * s2) * np.expm1(l1 - lam * only1),
+        # (1 - A)(1 - B) + Q - AB, with Q - AB = Q (1 - exp(-lam s12))
+        np.expm1(l1 - lam * s1) * np.expm1(l2 - lam * s2) - neither * np.expm1(-lam * s12),
+        -np.exp(l1 - lam * s1) * np.expm1(l2 - lam * only2),
+    )
+
+
+def exact_rates(
+    rho: DensityMatrix,
+    theta1: float | np.ndarray,
+    theta2: float | np.ndarray,
+    mean_pairs_per_pulse: float,
+    det: DetectorConfig,
+) -> ExpectedRates:
+    """Per-pulse rates exact in lambda: any number of pairs per pulse.
+
+    The pairs of a pulse are Poisson and independent, so the click patterns
+    of :func:`_event_patterns` give P(D1) = D1 only + both, P(D2) = both +
+    D2 only and P(both) as the coincidence rate; the delayed window has
+    P(D1) P(D2).  Every rate is formed with ``expm1``, so it keeps full
+    relative precision at lambda = 1e-6 and stays finite at lambda = 1000.
+    The angles broadcast as in :func:`expected_rates`, which is this
+    model's first order in lambda.
+    """
+    lam = mean_pairs_per_pulse
+    if lam < 0:
+        raise ValueError("mean_pairs_per_pulse must be nonnegative")
+    probs = pair_click_probs(rho, theta1, theta2, det)
+    only1, both, only2 = _event_patterns(lam, det.background_prob1, det.background_prob2, *probs)
+    p1, p2 = only1 + both, both + only2
+    return ExpectedRates(*np.clip(np.broadcast_arrays(p1, p2, both, p1 * p2), 0.0, 1.0))
+
+
+def tally_pulls(rec: CountRecord, rates: ExpectedRates) -> np.ndarray:
+    """(observed - mean) / sigma of the singles, coincidence and accidental
+    tallies of ``rec`` against per-pulse ``rates``, each strictly inside (0, 1).
+
+    Singles and coincidences are binomial over the n pulses.  Accidentals
+    count D1 at pulse i with D2 at pulse i + 1 over n - 1 windows;
+    neighbouring windows share a pulse, which adds
+    2 (n - 2)(pa pc - pa^2) to their variance.
+    """
+    n = rec.n_pulses
+    p1, p2, pc, pa = rates.p_single1, rates.p_single2, rates.p_coinc, rates.p_accidental
+    var_acc = (n - 1) * pa * (1 - pa) + 2 * (n - 2) * (pa * pc - pa * pa)
+    return np.array([
+        (rec.singles1 - n * p1) / np.sqrt(n * p1 * (1 - p1)),
+        (rec.singles2 - n * p2) / np.sqrt(n * p2 * (1 - p2)),
+        (rec.coincidences - n * pc) / np.sqrt(n * pc * (1 - pc)),
+        (rec.accidentals - (n - 1) * pa) / np.sqrt(var_acc),
+    ])
+
+
 def subtract_accidentals(rec: CountRecord) -> float:
     """Accidental-corrected coincidence count, floored at zero."""
     return float(max(0, rec.coincidences - rec.accidentals))
@@ -251,57 +331,28 @@ def subtract_accidentals(rec: CountRecord) -> float:
 
 # --- Monte Carlo engine ----------------------------------------------------
 
-# Gap draws resolve U to steps of 2**-53, so they cannot place events rarer
-# than that; a pulse's event chance below it counts as none.
+# Gap draws resolve U to steps of 2**-53, so they cannot place click pulses
+# rarer than that; a pulse's click chance below it counts as none.
 _GAP_RESOLUTION = 2.0**-53
 
 
-def _event_patterns(
-    lam: float, b1: float, b2: float, s1: float, s2: float, s12: float
-) -> np.ndarray:
-    """Per-pulse probabilities of an event pulse's click patterns: no click,
-    D1 only, both, D2 only.  They sum to P(event) = 1 - E.
-
-    (s1, s2, s12) are one pair's click probabilities from
-    :func:`pair_click_probs` and b1, b2 the background probabilities.  Summed
-    over the Poisson pair number, A = P(no D1) = (1 - b1) exp(-lam s1),
-    B = P(no D2) = (1 - b2) exp(-lam s2), Q = P(neither) =
-    (1 - b1)(1 - b2) exp(-lam (s1 + s2 - s12)) and the empty pulse has
-    E = (1 - b1)(1 - b2) exp(-lam).  The patterns are Q - E, B - Q,
-    1 - A - B + Q and A - Q; each is written as survival factors times
-    -expm1 of a nonpositive argument, so no near-equal terms are subtracted
-    at small lam and nothing overflows at large lam.
-    """
-    l1, l2 = math.log1p(-b1), math.log1p(-b2)
-    # one pair's chance of no click, of D1 alone and of D2 alone, never below 0
-    none, only1, only2 = (max(x, 0.0) for x in (1.0 - s1 - s2 + s12, s1 - s12, s2 - s12))
-    neither = math.exp(l1 + l2 - lam * (s1 + s2 - s12))
-    return np.array([
-        -neither * math.expm1(-lam * none),
-        -math.exp(l2 - lam * s2) * math.expm1(l1 - lam * only1),
-        # (1 - A)(1 - B) + Q - AB, with Q - AB = Q (1 - exp(-lam s12))
-        math.expm1(l1 - lam * s1) * math.expm1(l2 - lam * s2) - neither * math.expm1(-lam * s12),
-        -math.exp(l1 - lam * s1) * math.expm1(l2 - lam * only2),
-    ])
-
-
-def _gap_words(p_event: float, pulses: float) -> int:
-    """Gap words that cover ``pulses`` pulses: their expected events plus
-    four standard deviations and 2, so a pass seldom falls short, and at
-    most ``pulses + 1``, which always run past the last pulse."""
-    mean = pulses * p_event
-    return int(min(mean + 4.0 * math.sqrt(mean * (1.0 - p_event)) + 2.0, pulses + 1))
+def _gap_words(p_click: float, pulses: float) -> int:
+    """Gap words that cover ``pulses`` pulses: their expected click pulses
+    plus four standard deviations and 2, so a pass seldom falls short, and
+    at most ``pulses + 1``, which always run past the last pulse."""
+    mean = pulses * p_click
+    return int(min(mean + 4.0 * math.sqrt(mean * (1.0 - p_click)) + 2.0, pulses + 1))
 
 
 @dataclass(frozen=True)
 class _PulseTables:
     """Precomputed sampling tables shared by all chunks of one run."""
 
-    gap_key: int  # gap stream: the gap before each event
-    pattern_key: int  # pattern stream: each event's click-pattern draw
-    log_q: float  # ln P(no pair and no background click) for one pulse
-    # uint64 thresholds t0 <= t1 <= t2 of an event's draw u over the patterns
-    # no click, D1 only, both, D2 only: D1 clicks if t0 <= u < t2, D2 if u >= t1
+    gap_key: int  # gap stream: the gap before each click pulse
+    pattern_key: int  # pattern stream: each click pulse's pattern draw
+    log_q: float  # ln P(neither detector clicks) for one pulse
+    # uint64 thresholds t1 <= t2 of a click pulse's draw u over the patterns
+    # D1 only, both, D2 only: D1 clicks if u < t2, D2 if u >= t1
     thresholds: np.ndarray
 
 
@@ -309,11 +360,11 @@ def _build_tables(probs, det: DetectorConfig, seed: int, lam: float) -> _PulseTa
     """Tables of one run with seed ``seed``, from one pair's click
     probabilities ``probs`` = (s1, s2, s12) of :func:`pair_click_probs`."""
     b1, b2 = det.background_prob1, det.background_prob2
-    log_q = float(np.log1p(-b1) + np.log1p(-b2) - lam)
+    log_q = float(_log_neither(lam, b1, b2, *probs))
     if log_q > -_GAP_RESOLUTION:
-        log_q, thresholds = 0.0, np.zeros(3, np.uint64)  # no event pulses
+        log_q, thresholds = 0.0, np.zeros(2, np.uint64)  # no click pulses
     else:
-        cdf = np.cumsum(_event_patterns(lam, b1, b2, *probs)[:3]) / -math.expm1(log_q)
+        cdf = np.cumsum(_event_patterns(lam, b1, b2, *probs)[:2]) / -math.expm1(log_q)
         # c * 2**64 is exact, so int() floors it; a rounded cdf may pass 1
         thresholds = np.array([min(int(c * 2.0**64), rng.MASK64) for c in cdf], np.uint64)
     return _PulseTables(
@@ -362,9 +413,9 @@ def _thread_workspace() -> _Workspace:
 def _gap_pass(
     tables: _PulseTables, first_word: int, words: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """Gaps between events from gap words ``first_word`` on of the run's gap
-    stream, one per item of ``words``: gap k leads from the event before to
-    the event of word k.
+    """Gaps between click pulses from gap words ``first_word`` on of the
+    run's gap stream, one per item of ``words``: gap k leads from the click
+    pulse before to the click pulse of word k.
 
     The gaps overwrite the words they come from, as a float64 view of
     ``words``; ``scratch`` has ``words``' shape.  Each gap is a geometric
@@ -389,24 +440,23 @@ def _gap_pass(
 def _run_chunk(
     tables: _PulseTables, u: np.ndarray, steps: np.ndarray, ws: _Workspace
 ) -> tuple[int, int, int, int, bool, bool]:
-    """Tallies of a chunk's events, given their pattern draws ``u`` and the
-    gaps ``steps`` before them: singles, coincidences, accidentals within
-    the chunk, and whether D1 clicks at its last event and D2 at its first,
-    to stitch accidentals across chunks.  Every chunk-sized intermediate
-    lives in ``ws``."""
+    """Tallies of a chunk's click pulses, given their pattern draws ``u``
+    and the gaps ``steps`` before them: singles, coincidences, accidentals
+    within the chunk, and whether D1 clicks at its last click pulse and D2
+    at its first, to stitch accidentals across chunks.  Every chunk-sized
+    intermediate lives in ``ws``."""
     n = u.size
     if n == 0:
         return 0, 0, 0, 0, False, False
-    t0, t1, t2 = tables.thresholds
-    d1 = np.greater_equal(u, t0, out=ws.take("d1", n, np.bool_))
-    d1 &= np.less(u, t2, out=ws.take("mask", n, np.bool_))
+    t1, t2 = tables.thresholds
+    d1 = np.less(u, t2, out=ws.take("d1", n, np.bool_))
     d2 = np.greater_equal(u, t1, out=ws.take("d2", n, np.bool_))
     singles1 = int(np.count_nonzero(d1))
     singles2 = int(np.count_nonzero(d2))
-    both = np.logical_and(d1, d2, out=ws.take("mask", n, np.bool_))
-    coincidences = int(np.count_nonzero(both))
-    # D1 at one event pulse and D2 at the next, when that is the next pulse
-    delayed = np.equal(steps[1:], 1.0, out=both[:-1])
+    # t1 <= t2, so every click pulse clicks D1 or D2: both count twice
+    coincidences = singles1 + singles2 - n
+    # D1 at one click pulse and D2 at the next, when that is the next pulse
+    delayed = np.equal(steps[1:], 1.0, out=ws.take("mask", n - 1, np.bool_))
     np.logical_and(delayed, d1[:-1], out=delayed)
     np.logical_and(delayed, d2[1:], out=delayed)
     accidentals = int(np.count_nonzero(delayed))
@@ -418,11 +468,11 @@ def _count_run(tables: _PulseTables, n: int, ws: _Workspace) -> CountRecord:
 
     Each pass turns the gap stream's next words, at most ``rng.ROW_WORDS``,
     into gaps in ``ws``; ``end``, ``last`` plus their sum, is the position
-    of its last event.  A pass that ends before pulse n - 1 is all events,
-    and the next pass starts from ``end``.  The pass that ends at or past
-    it, the run's last, sums its gaps from ``last`` into positions, and
-    those below n are its events.  Either way the events' pattern words
-    fill the ``keys`` buffer.
+    of its last click pulse.  A pass that ends before pulse n - 1 lies
+    wholly inside the run, and the next pass starts from ``end``.  The pass
+    that ends at or past it, the run's last, sums its gaps from ``last``
+    into positions, and those below n are its click pulses.  Either way
+    their pattern words fill the ``keys`` buffer.
 
     Gaps are whole numbers, so a sum below 2**53 is exact in any order, and
     one at or above it rounds to at least 2**53.  Then ``end`` is at least
@@ -430,12 +480,12 @@ def _count_run(tables: _PulseTables, n: int, ws: _Workspace) -> CountRecord:
     at or past 2**53 round to at least n.  An ``end`` of n - 1 takes them
     too: at n = 2**53 it may hide a true end one pulse later.
     """
-    if tables.log_q == 0.0:  # no event pulses
+    if tables.log_q == 0.0:  # no click pulses
         return CountRecord(n, 0, 0, 0, 0)
-    p_event = -math.expm1(tables.log_q)
+    p_click = -math.expm1(tables.log_q)
     tallies, last, drawn, d1_last = (0, 0, 0, 0), -1.0, 0, False
     while last < n - 1:
-        words = min(_gap_words(p_event, n - 1 - last), rng.ROW_WORDS)
+        words = min(_gap_words(p_click, n - 1 - last), rng.ROW_WORDS)
         scratch = ws.take("scratch", words, np.uint64)
         steps = _gap_pass(tables, drawn, ws.take("words", words, np.uint64), scratch)
         keys = ws.take("keys", words, np.uint64)
@@ -448,7 +498,7 @@ def _count_run(tables: _PulseTables, n: int, ws: _Workspace) -> CountRecord:
         u = rng.stream_words(tables.pattern_key, drawn, out=keys[:m], scratch=scratch[:m])
         *counts, d1_end, d2_start = _run_chunk(tables, u, steps[:m], ws)
         # a delayed window across the chunk bound: D1 on the previous chunk's
-        # last event and D2 on the pulse after it
+        # last click pulse and D2 on the pulse after it
         counts[3] += bool(d1_last and d2_start and steps[0] == 1.0)
         tallies = tuple(map(sum, zip(tallies, counts)))
         drawn, last, d1_last = drawn + words, end, d1_end
@@ -490,10 +540,10 @@ def simulate_run(
 ) -> CountRecord:
     """Simulate ``run.n_pulses`` windows and tally counts.
 
-    Only pulses with a pair or a background click are visited.  Word k of
-    the run's gap stream gives the gap before event k, and word k of its
-    pattern stream whether D1 and D2 click there, both keyed by (seed,
-    word); the draw is compared with three thresholds built on
+    Only pulses where D1 or D2 clicks are visited.  Word k of the run's gap
+    stream gives the gap before click pulse k, and word k of its pattern
+    stream which detectors click there, both keyed by (seed, word); the
+    draw is compared with two thresholds built on
     :func:`pair_click_probs`, so no pair is counted and no photon is routed
     one by one.  The streams are drawn in passes of at most
     ``rng.ROW_WORDS`` words, one chunk each, that run one after another in
@@ -501,9 +551,10 @@ def simulate_run(
     (seed, configs): ``chunk_size``, a positive int or ``None``, is kept for
     compatibility and has no effect, as ``run.workers`` has none.  The
     counts for a given seed differ from those of earlier samplers, which
-    keyed each event's draw by its pulse index, split the gap stream into
-    blocks, drew each event's pair number or routed every pair photon by
-    photon; their statistics do not.  Non-finite analyzer angles raise
+    visited every pulse with a pair or a background click, keyed each such
+    pulse's draw by its pulse index, split the gap stream into blocks, drew
+    its pair number or routed every pair photon by photon; their
+    statistics do not.  Non-finite analyzer angles raise
     ``ValueError``.  This is the one-angle case of :func:`simulate_scan`.
     """
     if chunk_size is not None and chunk_size < 1:

@@ -4,8 +4,9 @@ Every uniform variate is word k of a keyed stream, addressed by (seed, word
 index), instead of being pulled from a sequential generator, so any word can
 be computed directly from its address and any split of a run into passes
 reproduces bit-identical outcomes.  A run reads two streams of its seed: the
-gap stream, which places its event pulses, and the pattern stream, whose
-word k is the click-pattern draw of the event that gap word k places.  The
+gap stream, which places its click pulses (those where a detector clicks),
+and the pattern stream, whose word k is the click-pattern draw of the click
+pulse that gap word k places.  The
 mixing function is the splitmix64 output finalizer (Stafford mix 13) applied
 to a Weyl sequence, a standard construction for keyed counter streams.
 
@@ -81,14 +82,14 @@ def stream_key(seed: int) -> int:
 
 def gap_stream_key(seed: int) -> int:
     """Whiten a user seed into the key of the gap stream, whose word k
-    places a run's k-th event pulse; :func:`stream_words` gives a run of
+    places a run's k-th click pulse; :func:`stream_words` gives a run of
     its words."""
     return mix64_int((seed & MASK64) + GAP_GAMMA)
 
 
 def pattern_stream_key(seed: int) -> int:
     """Whiten a user seed into the key of the pattern stream, whose word k
-    is the click-pattern draw of the event that gap word k places."""
+    is the click-pattern draw of the click pulse that gap word k places."""
     return mix64_int((seed & MASK64) + PATTERN_GAMMA)
 
 

@@ -26,7 +26,7 @@ from .polarization import (
 
 # Upper bound on the mean pairs per pulse.  Nothing in the Monte Carlo grows
 # with lambda; the bound keeps configs within the range the sampler and the
-# rate models are tested over.  At it every pulse already holds an event:
+# rate models are tested over.  At it every pulse already holds a pair:
 # exp(-1000) underflows to 0 in float64.
 MAX_MEAN_PAIRS_PER_PULSE = 1000.0
 

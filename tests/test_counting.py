@@ -19,6 +19,7 @@ from pulsepair import (
     SourceConfig,
     bell_state,
     emitted_state,
+    exact_rates,
     expected_rates,
     pair_click_probs,
     pure_to_density,
@@ -278,33 +279,46 @@ def test_multi_pair_regime_runs_and_warns_only_in_model():
     assert rec.singles1 > 0 and rec.coincidences > 0
 
 
-def _exact_pulls(rec, p1, p2, pc, pa):
-    """(observed - mean) / sigma of the four tallies of one run.
-
-    Accidentals count D1 at pulse i with D2 at pulse i + 1; neighbouring
-    windows share a pulse, which adds 2 (n - 2)(pa pc - pa^2) to the variance.
-    """
-    n = rec.n_pulses
-    var_acc = (n - 1) * pa * (1 - pa) + 2 * (n - 2) * (pa * pc - pa * pa)
-    return [
-        (rec.singles1 - n * p1) / np.sqrt(n * p1 * (1 - p1)),
-        (rec.singles2 - n * p2) / np.sqrt(n * p2 * (1 - p2)),
-        (rec.coincidences - n * pc) / np.sqrt(n * pc * (1 - pc)),
-        (rec.accidentals - (n - 1) * pa) / np.sqrt(var_acc),
-    ]
-
-
 @pytest.mark.parametrize("lam", [0.01, 0.5, 2.0, 20.0])
 def test_multi_pair_monte_carlo_matches_exact_rates(lam):
     cfg = SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=lam)
-    rho = emitted_state(cfg).matrix
+    rho = emitted_state(cfg)
     det = DetectorConfig(0.5, 0.7, 2e-3, 5e-3)
     n = 200_000
     for i, (d1, d2) in enumerate([(0, 0), (0, 45), (22.5, 45), (90, 45), (135, 60)]):
         t1, t2 = d1 * DEG, d2 * DEG
         rec = simulate_run(cfg, t1, t2, det, RunConfig(n, seed=7000 + i))
-        pulls = _exact_pulls(rec, *enumerated_exact_rates(rho, t1, t2, lam, det))
+        pulls = counting.tally_pulls(rec, exact_rates(rho, t1, t2, lam, det))
         assert max(abs(p) for p in pulls) <= 5.0, (lam, d1, d2, pulls)
+
+
+@pytest.mark.parametrize("lam, b", [(1e-6, 0.0), (0.01, 2e-3), (2.0, 2e-3), (1000.0, 2e-3)])
+def test_exact_rates_match_enumeration_oracle(lam, b):
+    """Every angle pair at once and one at a time, to 1e-12 relative."""
+    cfg = SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=lam)
+    rho = emitted_state(cfg)
+    det = DetectorConfig(0.5, 0.7, b, 2.5 * b)
+    angles = [(0.0, 0.0), (0.0, 45 * DEG), (22.5 * DEG, 45 * DEG), (135 * DEG, 60 * DEG)]
+    t1s, t2s = np.array(angles).T
+    rates = exact_rates(rho, t1s, t2s, lam, det)
+    for i, (t1, t2) in enumerate(angles):
+        one = exact_rates(rho, t1, t2, lam, det)
+        want = enumerated_exact_rates(rho.matrix, t1, t2, lam, det)
+        got = (one.p_single1, one.p_single2, one.p_coinc, one.p_accidental)
+        assert all(np.isscalar(g) for g in got)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"{t1} {t2}")
+        row = (rates.p_single1[i], rates.p_single2[i], rates.p_coinc[i], rates.p_accidental[i])
+        np.testing.assert_allclose(row, want, rtol=1e-12, atol=0.0, err_msg=f"{t1} {t2}")
+    with pytest.raises(ValueError, match="mean_pairs_per_pulse"):
+        exact_rates(rho, 0.0, 0.0, -1.0, det)
+
+
+def test_tally_pulls_give_each_tally_against_its_mean():
+    rates = counting.ExpectedRates(0.1, 0.2, 0.05, 0.02)
+    rec = CountRecord(10_000, 1000 + 30, 2000 - 40, 500, 200 - 2)
+    var_acc = 9999 * 0.02 * 0.98 + 2 * 9998 * (0.02 * 0.05 - 0.02**2)
+    want = [30 / np.sqrt(900.0), -40 / np.sqrt(1600.0), 0.0, (198 - 199.98) / np.sqrt(var_acc)]
+    np.testing.assert_allclose(counting.tally_pulls(rec, rates), want, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("scenario", ["fig3", "dense"])
@@ -323,7 +337,7 @@ def test_simulate_scan_equals_per_point_runs(scenario):
     assert simulate_scan(src, theta1s, 45 * DEG, det, run) == expected
 
 
-# --- event sampler ----------------------------------------------------------------
+# --- click-pulse sampler ----------------------------------------------------------
 
 
 def _tables(cfg, det, seed=12345):
@@ -354,7 +368,7 @@ def _first_pass_end(tables):
 @pytest.mark.parametrize("words_per_pass", [1, 3, 4097, rng.ROW_WORDS])
 def test_event_positions_do_not_depend_on_gap_word_oversupply(monkeypatch, words_per_pass):
     """Each run spans three full passes and 123 pulses of a fourth, or about
-    3000 events when a pass draws a few words."""
+    3000 click pulses when a pass draws a few words."""
     cases = [  # sparse, moderate, background only, dense
         (SourceConfig(mean_pairs_per_pulse=0.01), DetectorConfig(0.6, 0.6, 2.6e-3, 2.6e-3)),
         (SourceConfig(gain_down=0.7, mean_pairs_per_pulse=0.5), DetectorConfig(0.5, 0.7, 1e-2, 0.0)),
@@ -365,7 +379,7 @@ def test_event_positions_do_not_depend_on_gap_word_oversupply(monkeypatch, words
     runs = [(cfg, det, RunConfig(int(passes * _pass_pulses(cfg, det)) + 123, seed=31 + i))
             for i, (cfg, det) in enumerate(cases)]
     expected = [simulate_run(cfg, 0.2, 0.9, det, run) for cfg, det, run in runs]
-    monkeypatch.setattr(counting, "_gap_words", lambda p_event, pulses: words_per_pass)
+    monkeypatch.setattr(counting, "_gap_words", lambda p_click, pulses: words_per_pass)
     assert [simulate_run(cfg, 0.2, 0.9, det, run) for cfg, det, run in runs] == expected
 
 
@@ -389,9 +403,12 @@ def test_a_64_word_pass_cap_gives_the_same_counts(monkeypatch):
 
 @pytest.mark.parametrize("lam, b1, b2", [(0.01, 2.6e-3, 2.6e-3), (2.0, 1e-3, 1e-3), (0.0, 0.05, 0.0)])
 def test_event_pulse_count_is_binomial(lam, b1, b2):
-    """Walk the gap stream pass by pass, as a run of n pulses does."""
+    """Walk the gap stream pass by pass, as a run of n pulses does: the
+    pulses it places are Binomial(n, 1 - Q), Q the chance that neither
+    detector clicks at the tables' angles, 0 and 0."""
     n = 1_000_000
-    tables = _tables(SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, b1, b2), 77)
+    cfg, det = SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, b1, b2)
+    tables = _tables(cfg, det, 77)
     count, drawn, last = 0, 0, -1.0
     while last < n - 1:
         steps = _pass_steps(tables, drawn, rng.ROW_WORDS)
@@ -399,8 +416,9 @@ def test_event_pulse_count_is_binomial(lam, b1, b2):
         pos = last + np.cumsum(steps)
         count += pos.searchsorted(n)
         drawn, last = drawn + steps.size, pos[-1]
-    p_event = 1 - (1 - b1) * (1 - b2) * np.exp(-lam)
-    assert _binomial_ok(count, n, p_event), (count, n * p_event)
+    p1, p2, pc, _ = enumerated_exact_rates(emitted_state(cfg).matrix, 0.0, 0.0, lam, det)
+    p_click = p1 + p2 - pc
+    assert _binomial_ok(count, n, p_click), (count, n * p_click)
 
 
 _UNALIGNED = (SourceConfig(gain_down=0.8, overlap_mu=0.9, mean_pairs_per_pulse=0.3),
@@ -443,9 +461,9 @@ def test_one_more_pulse_adds_at_most_one_to_each_tally(lam):
 
 def _reference_record(tables, n):
     """A run's tallies the long way: every full pass of gap words summed
-    into positions from the last, each event's pattern word drawn by its
-    word index, clicks read from the thresholds and accidentals from
-    neighbouring positions."""
+    into positions from the last, each click pulse's pattern word drawn by
+    its word index, clicks read from the two thresholds and accidentals
+    from neighbouring positions."""
     positions, draws, drawn, last = [], [], 0, -1.0
     while last < n - 1:
         pos = np.cumsum(np.concatenate([[last], _pass_steps(tables, drawn, rng.ROW_WORDS)]))[1:]
@@ -455,8 +473,8 @@ def _reference_record(tables, n):
         draws.append(u[pos < n])
         drawn, last = drawn + rng.ROW_WORDS, pos[-1]
     pos, u = np.concatenate(positions), np.concatenate(draws)
-    t0, t1, t2 = tables.thresholds
-    d1, d2 = (u >= t0) & (u < t2), u >= t1
+    t1, t2 = tables.thresholds
+    d1, d2 = u < t2, u >= t1
     delayed = (np.diff(pos) == 1.0) & d1[:-1] & d2[1:]
     return CountRecord(n, *(int(np.count_nonzero(x)) for x in (d1, d2, d1 & d2, delayed)))
 
@@ -467,9 +485,9 @@ def test_runs_match_a_reference_that_sums_every_pass(lam, b):
     gaps alone, and only the pass that reaches it from positions: a run of
     n pulses, for n at and around the end of the first full pass, counts
     what a reference that sums every pass counts.  At lambda = 1e-6 with no
-    background the gaps are about 1e6 pulses, and the end lies near 3.4e10;
-    at this seed the event there clicks, so a run that counted it past n
-    would differ."""
+    background the gaps are about 2.4e6 pulses, and the end lies near 8e10;
+    every visited pulse clicks a detector, so a run that counted the one
+    there past n would differ."""
     cfg, det = SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, b, b)
     tables = _tables(cfg, det, seed=2)
     end = _first_pass_end(tables)
@@ -481,8 +499,8 @@ def test_runs_match_a_reference_that_sums_every_pass(lam, b):
 def test_a_pass_whose_gaps_round_to_the_last_pulse_counts_exactly(monkeypatch):
     """At n = 2**53 gaps of 2**52, 2**52 and 1 from pulse -1 sum to
     2**53 + 1, which rounds to 2**53, so the pass seems to end at pulse
-    n - 1; its positions are exact, and its third event lies past the run.
-    At lambda = 1000 every event clicks both detectors."""
+    n - 1; its positions are exact, and its third click pulse lies past the
+    run.  At lambda = 1000 every click pulse clicks both detectors."""
     cfg, det = SourceConfig(mean_pairs_per_pulse=1000.0), DetectorConfig()
 
     def gaps(tables, first_word, words, scratch):
@@ -490,22 +508,23 @@ def test_a_pass_whose_gaps_round_to_the_last_pulse_counts_exactly(monkeypatch):
         steps[:] = [2.0**52, 2.0**52, 1.0]
         return steps
 
-    monkeypatch.setattr(counting, "_gap_words", lambda p_event, pulses: 3)
+    monkeypatch.setattr(counting, "_gap_words", lambda p_click, pulses: 3)
     monkeypatch.setattr(counting, "_gap_pass", gaps)
     n = counting.MAX_N_PULSES
     assert simulate_run(cfg, 0.0, 0.0, det, RunConfig(n, seed=3)) == CountRecord(n, 2, 2, 2, 0)
 
 
 def _decoded_rates(tables):
-    """Per-pulse P(D1), P(D2) and P(both) read back from the three thresholds.
+    """Per-pulse P(D1), P(D2) and P(both) read back from the two thresholds.
 
-    Given an event, D1 clicks for draws in [t0, t2), D2 for draws in
-    [t1, 2**64) and both for [t1, t2).  The widths are taken in integer
-    arithmetic: a float 1 - t1 / 2**64 would lose the low bits of t1.
+    Given a click pulse, D1 clicks for draws in [0, t2), D2 for draws in
+    [t1, 2**64) and both for [t1, t2); a click pulse has chance 1 - Q.  The
+    widths are taken in integer arithmetic: a float 1 - t1 / 2**64 would
+    lose the low bits of t1.
     """
-    t0, t1, t2 = (int(t) for t in tables.thresholds)
-    p_event = -np.expm1(tables.log_q)
-    return tuple(p_event * (width / 2**64) for width in (t2 - t0, 2**64 - t1, t2 - t1))
+    t1, t2 = (int(t) for t in tables.thresholds)
+    p_click = -np.expm1(tables.log_q)
+    return tuple(p_click * (width / 2**64) for width in (t2, 2**64 - t1, t2 - t1))
 
 
 @pytest.mark.parametrize("b1, b2", [(0.0, 0.0), (2e-3, 5e-3)])
@@ -517,7 +536,7 @@ def test_event_cells_decode_to_exact_rates(lam, b1, b2):
     for t1, t2 in [(0.0, 0.0), (0.0, 45 * DEG), (22.5 * DEG, 45 * DEG), (135 * DEG, 60 * DEG)]:
         tables = counting._build_tables(pair_click_probs(rho, t1, t2, det), det, 12345, lam)
         t = tables.thresholds
-        assert t.dtype == np.uint64 and t[0] <= t[1] <= t[2], t
+        assert t.dtype == np.uint64 and t.shape == (2,) and t[0] <= t[1], t
         p1, p2, pc, _ = enumerated_exact_rates(rho.matrix, t1, t2, lam, det)
         got = _decoded_rates(tables)
         assert max(abs(g - w) for g, w in zip(got, (p1, p2, pc))) < 1e-12, (t1, t2, got)
@@ -526,7 +545,8 @@ def test_event_cells_decode_to_exact_rates(lam, b1, b2):
 @pytest.mark.parametrize("b1, b2", [(0.0, 0.0), (2e-3, 5e-3)])
 @pytest.mark.parametrize("lam", [1e-6, 0.01, 0.5, 2.0, 10.0, 20.0, 100.0, 1000.0])
 def test_event_patterns_match_poisson_sum(lam, b1, b2):
-    """The closed-form click patterns equal the sum over the pair number.
+    """The closed-form click patterns (D1 only, both, D2 only) equal the sum
+    over the pair number, and add up to 1 - Q.
 
     Up to lam = 10 they agree to 1e-12 relative.  Above it the oracle's log
     pmf, k ln lam - lam - ln k!, adds terms of size lam ln lam, about 7000 at
@@ -540,9 +560,12 @@ def test_event_patterns_match_poisson_sum(lam, b1, b2):
     for t1, t2 in [(0.0, 0.0), (0.0, 45 * DEG), (22.5 * DEG, 45 * DEG), (135 * DEG, 60 * DEG)]:
         probs = [float(p) for p in pair_click_probs(rho, t1, t2, det)]
         got = counting._event_patterns(lam, b1, b2, *probs)
-        want = poisson_pattern_probs(lam, b1, b2, *probs)
+        assert len(got) == 3
+        want = poisson_pattern_probs(lam, b1, b2, *probs)[1:]
         np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0, err_msg=f"{t1} {t2}")
-        assert np.isclose(got.sum(), -np.expm1(np.log1p(-b1) + np.log1p(-b2) - lam), rtol=1e-15)
+        s1, s2, s12 = probs
+        p_click = -np.expm1(np.log1p(-b1) + np.log1p(-b2) - lam * (s1 + s2 - s12))
+        np.testing.assert_allclose(sum(got), p_click, rtol=1e-15, atol=0.0)
 
 
 def test_exact_rate_oracle_matches_poisson_sum_at_small_lambda():
@@ -560,22 +583,30 @@ def test_exact_rate_oracle_matches_poisson_sum_at_small_lambda():
                                    rtol=1e-12, atol=0.0, err_msg=f"{t1} {t2}")
 
 
-def test_no_events_without_pairs_or_background():
-    """With no event pulses the longest run draws no gap words."""
-    cfg = SourceConfig(mean_pairs_per_pulse=0.0)
-    det = DetectorConfig()
+def test_no_events_without_pairs_or_background(monkeypatch):
+    """With no click pulses the longest run draws no gap words: with no
+    pairs and no background, and with pairs that blind detectors never see."""
+
+    def no_gap_words(*args):
+        raise AssertionError("a run without click pulses drew gap words")
+
+    monkeypatch.setattr(counting, "_gap_pass", no_gap_words)
     n = counting.MAX_N_PULSES
-    assert _tables(cfg, det).log_q == 0.0
-    for chunk in (None, 1, 777):
-        rec = simulate_run(cfg, 0.3, 0.9, det, RunConfig(n, seed=3, workers=2), chunk_size=chunk)
-        assert rec == CountRecord(n, 0, 0, 0, 0)
+    cases = [(SourceConfig(mean_pairs_per_pulse=0.0), DetectorConfig()),
+             (SourceConfig(mean_pairs_per_pulse=2.0), DetectorConfig(0.0, 0.0, 0.0, 0.0))]
+    for cfg, det in cases:
+        assert _tables(cfg, det).log_q == 0.0
+        run = RunConfig(n, seed=3, workers=2)
+        for chunk in (None, 1, 777):
+            rec = simulate_run(cfg, 0.3, 0.9, det, run, chunk_size=chunk)
+            assert rec == CountRecord(n, 0, 0, 0, 0)
 
 
-# CountRecords of the three-threshold pattern draw, each event's draw taken
-# from the pattern stream beside its gap word, which every chunk size and
-# worker count must repeat exactly.
-_FIG3_RECORD = CountRecord(1_000_000, 5822, 5215, 907, 28)
-_DENSE_RECORD = CountRecord(200_000, 91057, 81364, 48532, 37223)
+# CountRecords of the two-threshold pattern draw, visiting click pulses only,
+# each one's draw taken from the pattern stream beside its gap word, which
+# every chunk size and worker count must repeat exactly.
+_FIG3_RECORD = CountRecord(1_000_000, 5866, 5273, 946, 35)
+_DENSE_RECORD = CountRecord(200_000, 91206, 81633, 48654, 37116)
 
 
 @pytest.mark.parametrize("workers, chunk", [(1, None), (2, None), (1, 77_777), (2, 77_777)])
@@ -645,8 +676,8 @@ def test_concurrent_runs_in_threads_match_serial_runs():
 def test_default_chunk_workspace_stays_under_2_mib(setting):
     """A fresh thread's workspace after one run totals under 2 MiB: the gap
     words become the positions in place, and no buffer holds more than one
-    pass of words, whatever the event chance.  The last setting is
-    background only, one event per 4096 pulses over about three passes."""
+    pass of words, whatever the click chance.  The last setting is
+    background only, one click pulse per 4096 pulses over about three passes."""
     fig3 = fig3_experiment()
     src, det, run = fig3.source, fig3.detector, fig3.run
     if setting == "dense":
@@ -672,7 +703,7 @@ def test_default_chunk_workspace_stays_under_2_mib(setting):
 def test_warm_kernel_allocates_no_chunk_sized_array(setting):
     """A warm default-chunk run, and a warm 36 x 1 M-pulse fig3 scan, peak
     below 128 KiB above their baseline under tracemalloc; one float64 per
-    event of a default chunk alone is 256 KiB."""
+    click pulse of a default chunk alone is 256 KiB."""
     fig3 = fig3_experiment()
     src, det, run = fig3.source, fig3.detector, fig3.run
     if setting == "dense":
@@ -701,31 +732,30 @@ def test_warm_kernel_allocates_no_chunk_sized_array(setting):
 
 # --- pinned records ----------------------------------------------------------------
 
-# Captured when each event's click-pattern draw came to be word k of the
-# run's pattern stream, beside gap word k, instead of a draw keyed by the
-# event's pulse index: the SHA-256 over the records of the 136 runs of
-# _digest_runs, one line each in _record_line's format, and the first 8 hex
-# digits of each line's own SHA-256, which locate the first record that
-# changed.  A change that alters counts on purpose recaptures both.
-_RECORDS_SHA256 = "0f542713ee8452070d1610d7e664053d0fff00921ae3ef19d3e0fbf72cb83e9b"
+# Captured when the runs came to visit only click pulses, where D1 or D2
+# clicks, instead of every pulse with a pair or a background click: the
+# SHA-256 over the records of the 136 runs of _digest_runs, one line each in
+# _record_line's format, and the first 8 hex digits of each line's own
+# SHA-256, which locate the first record that changed.  A change that alters counts on purpose recaptures both.
+_RECORDS_SHA256 = "539d0bf404efa748c7a6a58b2c18496609616e5d304c384cd2a9d0feca1a4db2"
 _RECORD_TAGS = (
-    "15e87a053eb2463812f084c2b9056fdf942ee372e0171aed7ca71bf0bb8eccd1"
-    "9cca7941779e0a72f7d2ad0625ad919ae03322a5b1a4ec294890f4d0618a2451"
-    "3edfb869af7ce9414a9e55b7a113574eb64ea2c242c324a1efde0f42f52f9624"
-    "a2c6bb0997cec1f038af07344a0d989e472c87f0680837a05ac01618f265399c"
-    "36a25a74ad74301db42acf9521d3e9aaf454427c06cb628ae65cd3b00498d398"
-    "2e926fe9c62c14c58854da609806f2282baddf6a335865c5e54913a057847f61"
-    "2df5986e9f413a2dea06b25c51d90e916cb5d6b71799d58da2e4ba70fa9ce2f9"
-    "d2a1ca547035e974772ca8fc6eeb439a13f994dc59b26bb237655486f30294e5"
-    "4c0ba756238f4f8f7b0268350d4a3a3f72b02e2c90b4962c9119485ca3c6d34c"
-    "0cf15cd46a37f94c61aec17140a32d44f1fd918f9314d46b339fa26f05924f8a"
-    "22ad3a5e4e5061a2a9d85e336140eb72bc4c7185d851d9ee1aa6fd060fa84793"
-    "654618c504c4bd430c2662d951a7927e0bd8e37b9ec94ea05ef52a527c844f0e"
-    "ea20c1c69619bb19e98b57237cdf6d913af861dd2f1831f364ba10a20c4fdecd"
-    "74b9d548ec220415b2873e29ea8f2e414df9d30c8748d8d9a774df751353eb88"
-    "c15105ddf825218322461547ac26fcecdee6e8169ae02985715aa95cbc69abaf"
-    "74ba758f2262ebd7726ab3674df7e206c9ae973f9da46938c15159cff4a451b6"
-    "dd8f7b2894504b09022fc8d020a1b6fccc3612579d448cc9d636289d74f74365"
+    "9bfb284d8063f76596253ea4d7a60b5d6412ad47941d7f30e52cb906b33be38f"
+    "88d4b13b33fdaabf735f1a1fa619076a393484ab46da0313c351bfa549f25d17"
+    "5cd744556aba48311da5998dad8de52734f7921095aea0f1e247eeb8bcca9822"
+    "446246d2518b6640020ee841b064bd1b6797248561a5e6c0dc1ad522c0693488"
+    "a43416ee41a2e796facd236668e14f8dd481c483ad6443ba801fff2aff4ad9a5"
+    "671b1c19034d8ef8f17c6052c7798f11dc9164eff65de36ac4985732c493bb35"
+    "05765f4d0974b181ec35b0ba8fca11087fbd1561e229909b6a38b730baa0acf3"
+    "0febe0010020051a04244080aac265feb64a7a961988b67a2c36a3a62b892dd7"
+    "c3e4a16384b15eb4879733f6347ea157ee571e7a131c6f626ec2cf3aeb65fe68"
+    "0cd15dd01e20eff899d8204f259f5d10a457bf7615c589e81db19fcdd2c69714"
+    "7f2fa162588de49d69cc04ce979e226adf67db3e85113063d9bb19d5c52bbd06"
+    "38c93e457cc585f3d9be43585304451b913a0465cd25908b983f3f78fe1ae3c1"
+    "319da8cc904abcb528371aa58e51fe7dde8b8758c0ea18e31cad11380cef7862"
+    "dd9b0607f91c9fea28026703fa321c4d4f07fd1460cae69868af714ea3addbc7"
+    "c753c0b4492eab19f3a038b7c79b331a60c8d60d7bc96af41c50da1705428b8f"
+    "a4be08132e8170b4575cd586e819b8ad805bb2bb6d0896b5aa76ed0ea6271abd"
+    "41bed3f47cc68c72e87de7d6739ecb7f1add4880438c765c50c023e7e6ad88ec"
 )
 
 

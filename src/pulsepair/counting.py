@@ -22,24 +22,38 @@ The pairs of a pulse are independent, so given k pairs
 P(no D1) = (1 - b1)(1 - s1)^k and
 P(neither) = (1 - b1)(1 - b2)(1 - s1 - s2 + s12)^k; summed over the Poisson
 pair number these become P(no D1) = (1 - b1) exp(-lambda s1) and
-P(neither) = (1 - b1)(1 - b2) exp(-lambda (s1 + s2 - s12)).  The Monte Carlo
-visits only click pulses: those where D1 or D2 clicks, P(click) = 1 - Q with
-Q = P(neither).  A pulse where no detector clicks feeds no tally, so it is
-skipped like an empty one.  Word k of the run's gap stream gives the
-geometric gap from click pulse k - 1 to click pulse k, and word k of its
-pattern stream the 64-bit draw u that decides which detectors click there;
-both streams are keyed by (seed, word index).  Two thresholds t1 <= t2 split
-the draws into the click patterns given a click pulse, in the order D1 only,
-both, D2 only, so D1 clicks if u < t2 and D2 if u >= t1: two compares
-against scalars per click pulse, with no table to search.  Every click pulse
+P(neither) = (1 - b1)(1 - b2) exp(-lambda (s1 + s2 - s12)).  A pulse where
+no detector clicks feeds no tally, so the Monte Carlo need only find the
+click pulses, those where D1 or D2 clicks, P(click) = 1 - Q with
+Q = P(neither).  It has two kernels for that, and the click chance alone
+picks one per run.
+
+Below a click chance of 0.36 (``_PER_PULSE_CLICK_CHANCE``) the gap kernel visits
+only click pulses.  Word k of the run's gap stream gives the geometric gap
+from click pulse k - 1 to click pulse k, and word k of its pattern stream
+the 64-bit draw u that decides which detectors click there; both streams
+are keyed by (seed, word index).  Two thresholds t1 <= t2 split the draws
+into the click patterns given a click pulse, in the order D1 only, both,
+D2 only, so D1 clicks if u < t2 and D2 if u >= t1: two compares against
+scalars per click pulse, with no table to search.  Every click pulse
 clicks one detector at least, so the coincidences are the singles' excess
 over the click pulses.  A delayed window needs click pulses one pulse
 apart, a gap of 1, so positions are summed only to find which click pulses
-of the pass that crosses the run's end lie inside the run.  The run draws
-its streams in passes of at most ``rng.ROW_WORDS`` words, one after another
-in a single thread; each pass is one chunk.  A run is therefore
-bit-reproducible regardless of chunk size or worker count, and its cost
-grows with the number of click pulses, not of pulses or pairs.
+of the pass that crosses the run's end lie inside the run.  Its cost grows
+with the number of click pulses, not of pulses or pairs.
+
+Above that click chance a gap would cost more than the pulses it skips, so
+the per-pulse kernel draws word k of the pattern stream for pulse k, and
+no gap stream.  A third threshold t3 puts the no-click pattern last: D1
+clicks if u < t2 and D2 if t1 <= u < t3, so a pulse costs one hash and
+three compares, accidentals need no gap test, and the cost grows with the
+number of pulses.
+
+Either kernel draws its streams in passes of at most ``rng.ROW_WORDS``
+words, one after another in a single thread; each pass is one chunk, and
+the same tallies and the same stitching of accidentals across chunks serve
+both.  A run is therefore bit-reproducible regardless of chunk size or
+worker count.
 
 A scan (:func:`simulate_scan`) is one run per analyzer-1 angle, point i
 seeded by ``rng.derive_seed(seed, i)``.  The emitted state and the click
@@ -344,6 +358,14 @@ def _gap_words(p_click: float, pulses: float) -> int:
     return int(min(mean + 4.0 * math.sqrt(mean * (1.0 - p_click)) + 2.0, pulses + 1))
 
 
+# Above this click chance 1 - Q a run hashes every pulse once instead of
+# placing click pulses by geometric gaps: a click pulse costs the gap kernel
+# two hashes, a log and a divide, a pulse costs the per-pulse kernel one
+# hash and three compares.  The two break even near 0.36 (in-process sweep
+# of lambda = 0.5-2 at 200 k pulses on the pull table's dense source).
+_PER_PULSE_CLICK_CHANCE = 0.36
+
+
 @dataclass(frozen=True)
 class _PulseTables:
     """Precomputed sampling tables shared by all chunks of one run."""
@@ -351,22 +373,35 @@ class _PulseTables:
     gap_key: int  # gap stream: the gap before each click pulse
     pattern_key: int  # pattern stream: each click pulse's pattern draw
     log_q: float  # ln P(neither detector clicks) for one pulse
-    # uint64 thresholds t1 <= t2 of a click pulse's draw u over the patterns
-    # D1 only, both, D2 only: D1 clicks if u < t2, D2 if u >= t1
+    # uint64 thresholds over the patterns D1 only, both, D2 only, of a draw
+    # u: D1 clicks if u < t2, D2 if u >= t1.  Two of them, t1 <= t2, split a
+    # click pulse's draw (the gap kernel); three, t1 <= t2 <= t3, split any
+    # pulse's draw, and neither clicks if u >= t3 (the per-pulse kernel)
     thresholds: np.ndarray
+
+    @property
+    def per_pulse(self) -> bool:
+        return self.thresholds.size == 3
 
 
 def _build_tables(probs, det: DetectorConfig, seed: int, lam: float) -> _PulseTables:
     """Tables of one run with seed ``seed``, from one pair's click
-    probabilities ``probs`` = (s1, s2, s12) of :func:`pair_click_probs`."""
+    probabilities ``probs`` = (s1, s2, s12) of :func:`pair_click_probs`.
+
+    The run takes the per-pulse kernel when its click chance 1 - Q exceeds
+    ``_PER_PULSE_CLICK_CHANCE``, so the kernel depends on (lam, b1, b2,
+    s1, s2, s12) alone."""
     b1, b2 = det.background_prob1, det.background_prob2
     log_q = float(_log_neither(lam, b1, b2, *probs))
     if log_q > -_GAP_RESOLUTION:
-        log_q, thresholds = 0.0, np.zeros(2, np.uint64)  # no click pulses
+        log_q, cdf = 0.0, (0.0, 0.0)  # no click pulses
     else:
-        cdf = np.cumsum(_event_patterns(lam, b1, b2, *probs)[:2]) / -math.expm1(log_q)
-        # c * 2**64 is exact, so int() floors it; a rounded cdf may pass 1
-        thresholds = np.array([min(int(c * 2.0**64), rng.MASK64) for c in cdf], np.uint64)
+        cdf = np.cumsum(_event_patterns(lam, b1, b2, *probs))
+        p_click = -math.expm1(log_q)
+        if p_click <= _PER_PULSE_CLICK_CHANCE:
+            cdf = cdf[:2] / p_click  # given a click pulse
+    # c * 2**64 is exact, so int() floors it; a rounded cdf may pass 1
+    thresholds = np.array([min(int(c * 2.0**64), rng.MASK64) for c in cdf], np.uint64)
     return _PulseTables(
         gap_key=rng.gap_stream_key(seed),
         pattern_key=rng.pattern_stream_key(seed),
@@ -381,7 +416,7 @@ class _Workspace:
     ``take(name, n, dtype)`` returns the first ``n`` items of buffer
     ``name``, replacing the buffer by a larger one when it is too short; a
     name always comes with the same dtype.  Every request is bounded by one
-    pass of gap words, so the buffers stay near ``rng.ROW_WORDS`` items.
+    pass, so the buffers stay near ``rng.ROW_WORDS`` items.
     """
 
     def __init__(self) -> None:
@@ -438,27 +473,36 @@ def _gap_pass(
 
 
 def _run_chunk(
-    tables: _PulseTables, u: np.ndarray, steps: np.ndarray, ws: _Workspace
+    tables: _PulseTables, u: np.ndarray, steps: np.ndarray | None, ws: _Workspace
 ) -> tuple[int, int, int, int, bool, bool]:
-    """Tallies of a chunk's click pulses, given their pattern draws ``u``
+    """Tallies of a chunk's visited pulses, given their pattern draws ``u``
     and the gaps ``steps`` before them: singles, coincidences, accidentals
-    within the chunk, and whether D1 clicks at its last click pulse and D2
-    at its first, to stitch accidentals across chunks.  Every chunk-sized
-    intermediate lives in ``ws``."""
+    within the chunk, and whether D1 clicks at its last visited pulse and
+    D2 at its first, to stitch accidentals across chunks.  ``steps`` is
+    None on the per-pulse kernel, where every pulse is visited and every
+    gap is 1.  Every chunk-sized intermediate lives in ``ws``."""
     n = u.size
     if n == 0:
         return 0, 0, 0, 0, False, False
-    t1, t2 = tables.thresholds
+    t1, t2 = tables.thresholds[:2]
     d1 = np.less(u, t2, out=ws.take("d1", n, np.bool_))
     d2 = np.greater_equal(u, t1, out=ws.take("d2", n, np.bool_))
+    # delayed: D1 at one visited pulse and D2 at the next, when that is the
+    # next pulse
+    if steps is None:  # the third compare, neither clicking from t3 on
+        clicked = np.less(u, tables.thresholds[2], out=ws.take("mask", n, np.bool_))
+        np.logical_and(d2, clicked, out=d2)
+        clicks = int(np.count_nonzero(clicked))
+        delayed = np.logical_and(d1[:-1], d2[1:], out=clicked[:-1])
+    else:  # only click pulses are visited
+        clicks = n
+        delayed = np.equal(steps[1:], 1.0, out=ws.take("mask", n - 1, np.bool_))
+        np.logical_and(delayed, d1[:-1], out=delayed)
+        np.logical_and(delayed, d2[1:], out=delayed)
     singles1 = int(np.count_nonzero(d1))
     singles2 = int(np.count_nonzero(d2))
-    # t1 <= t2, so every click pulse clicks D1 or D2: both count twice
-    coincidences = singles1 + singles2 - n
-    # D1 at one click pulse and D2 at the next, when that is the next pulse
-    delayed = np.equal(steps[1:], 1.0, out=ws.take("mask", n - 1, np.bool_))
-    np.logical_and(delayed, d1[:-1], out=delayed)
-    np.logical_and(delayed, d2[1:], out=delayed)
+    # t1 <= t2, so every pulse that clicks clicks D1 or D2: both count twice
+    coincidences = singles1 + singles2 - clicks
     accidentals = int(np.count_nonzero(delayed))
     return singles1, singles2, coincidences, accidentals, bool(d1[-1]), bool(d2[0])
 
@@ -466,13 +510,15 @@ def _run_chunk(
 def _count_run(tables: _PulseTables, n: int, ws: _Workspace) -> CountRecord:
     """Tallies of one run of ``n`` pulses, one chunk per pass of its streams.
 
-    Each pass turns the gap stream's next words, at most ``rng.ROW_WORDS``,
-    into gaps in ``ws``; ``end``, ``last`` plus their sum, is the position
-    of its last click pulse.  A pass that ends before pulse n - 1 lies
-    wholly inside the run, and the next pass starts from ``end``.  The pass
-    that ends at or past it, the run's last, sums its gaps from ``last``
-    into positions, and those below n are its click pulses.  Either way
-    their pattern words fill the ``keys`` buffer.
+    On the per-pulse kernel a pass is the next ``rng.ROW_WORDS`` pulses at
+    most, pulse k drawing pattern word k.  On the gap kernel each pass
+    turns the gap stream's next words, at most ``rng.ROW_WORDS``, into gaps
+    in ``ws``; ``end``, ``last`` plus their sum, is the position of its
+    last click pulse.  A pass that ends before pulse n - 1 lies wholly
+    inside the run, and the next pass starts from ``end``.  The pass that
+    ends at or past it, the run's last, sums its gaps from ``last`` into
+    positions, and those below n are its click pulses.  Either way their
+    pattern words fill the ``keys`` buffer.
 
     Gaps are whole numbers, so a sum below 2**53 is exact in any order, and
     one at or above it rounds to at least 2**53.  Then ``end`` is at least
@@ -485,21 +531,26 @@ def _count_run(tables: _PulseTables, n: int, ws: _Workspace) -> CountRecord:
     p_click = -math.expm1(tables.log_q)
     tallies, last, drawn, d1_last = (0, 0, 0, 0), -1.0, 0, False
     while last < n - 1:
-        words = min(_gap_words(p_click, n - 1 - last), rng.ROW_WORDS)
-        scratch = ws.take("scratch", words, np.uint64)
-        steps = _gap_pass(tables, drawn, ws.take("words", words, np.uint64), scratch)
-        keys = ws.take("keys", words, np.uint64)
-        end, m = last + float(steps.sum()), words
-        if end >= n - 1:  # the pass that crosses the run's end
-            pos = keys.view(np.float64)
-            np.copyto(pos, steps)
-            pos[0] += last
-            m = int(np.cumsum(pos, out=pos).searchsorted(n))
-        u = rng.stream_words(tables.pattern_key, drawn, out=keys[:m], scratch=scratch[:m])
-        *counts, d1_end, d2_start = _run_chunk(tables, u, steps[:m], ws)
+        if tables.per_pulse:
+            words = m = min(n - drawn, rng.ROW_WORDS)
+            steps, end = None, last + words
+        else:
+            words = min(_gap_words(p_click, n - 1 - last), rng.ROW_WORDS)
+            scratch = ws.take("scratch", words, np.uint64)
+            steps = _gap_pass(tables, drawn, ws.take("words", words, np.uint64), scratch)
+            end, m = last + float(steps.sum()), words
+            if end >= n - 1:  # the pass that crosses the run's end
+                pos = ws.take("keys", words, np.uint64).view(np.float64)
+                np.copyto(pos, steps)
+                pos[0] += last
+                m = int(np.cumsum(pos, out=pos).searchsorted(n))
+                steps = steps[:m]
+        u = rng.stream_words(tables.pattern_key, drawn, out=ws.take("keys", m, np.uint64),
+                             scratch=ws.take("scratch", m, np.uint64))
+        *counts, d1_end, d2_start = _run_chunk(tables, u, steps, ws)
         # a delayed window across the chunk bound: D1 on the previous chunk's
-        # last click pulse and D2 on the pulse after it
-        counts[3] += bool(d1_last and d2_start and steps[0] == 1.0)
+        # last visited pulse and D2 on the pulse after it
+        counts[3] += bool(d1_last and d2_start and (steps is None or steps[0] == 1.0))
         tallies = tuple(map(sum, zip(tallies, counts)))
         drawn, last, d1_last = drawn + words, end, d1_end
     return CountRecord(n, *tallies)
@@ -518,11 +569,11 @@ def _simulate(
     probabilities come from one call each, before the first run; each run's
     tables are dropped before the next run's are built."""
     for name, theta in (("theta1", theta1s), ("theta2", theta2)):
-        bad = np.asarray(theta, dtype=float)[~np.isfinite(theta)]
-        if bad.size:
+        bad = [t for t in np.asarray(theta, dtype=float).ravel().tolist() if not math.isfinite(t)]
+        if bad:
             raise ValueError(f"analyzer angle {name} must be finite, got {bad[0]}")
-    probs = np.broadcast_arrays(*pair_click_probs(emitted_state(cfg), theta1s, theta2, det))
-    rows = np.stack(probs, -1).reshape(-1, 3).tolist()
+    # one (s1, s2, s12) per angle, in C order over the broadcast shape
+    rows = np.broadcast(*pair_click_probs(emitted_state(cfg), theta1s, theta2, det))
     lam, ws = cfg.mean_pairs_per_pulse, _thread_workspace()
     return [
         _count_run(_build_tables(p, det, seed_of(i), lam), run.n_pulses, ws)
@@ -540,10 +591,14 @@ def simulate_run(
 ) -> CountRecord:
     """Simulate ``run.n_pulses`` windows and tally counts.
 
-    Only pulses where D1 or D2 clicks are visited.  Word k of the run's gap
-    stream gives the gap before click pulse k, and word k of its pattern
-    stream which detectors click there, both keyed by (seed, word); the
-    draw is compared with two thresholds built on
+    The run's click chance 1 - Q picks its kernel.  Below 0.36 only pulses
+    where D1 or D2 clicks are visited: word k of the run's gap stream gives
+    the gap before click pulse k, and word k of its pattern stream which
+    detectors click there, compared with two thresholds; the cost grows with
+    the click pulses.  Above it every pulse is hashed once: word k of the
+    pattern stream is compared with three thresholds, the third for the
+    pulses where neither clicks; the cost grows with the pulses.  Both
+    streams are keyed by (seed, word) and the thresholds are built on
     :func:`pair_click_probs`, so no pair is counted and no photon is routed
     one by one.  The streams are drawn in passes of at most
     ``rng.ROW_WORDS`` words, one chunk each, that run one after another in
@@ -551,10 +606,10 @@ def simulate_run(
     (seed, configs): ``chunk_size``, a positive int or ``None``, is kept for
     compatibility and has no effect, as ``run.workers`` has none.  The
     counts for a given seed differ from those of earlier samplers, which
-    visited every pulse with a pair or a background click, keyed each such
-    pulse's draw by its pulse index, split the gap stream into blocks, drew
-    its pair number or routed every pair photon by photon; their
-    statistics do not.  Non-finite analyzer angles raise
+    visited every pulse with a pair or a background click at any click
+    chance, keyed each such pulse's draw by its pulse index, split the gap
+    stream into blocks, drew its pair number or routed every pair photon by
+    photon; their statistics do not.  Non-finite analyzer angles raise
     ``ValueError``.  This is the one-angle case of :func:`simulate_scan`.
     """
     if chunk_size is not None and chunk_size < 1:

@@ -78,13 +78,14 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be 4x4, got {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("density matrix has non-finite entries")
-        if np.abs(m - m.conj().T).max() > CONSTRUCTION_TOL:
+        adjoint = m.conj().T
+        if np.abs(m - adjoint).max() > CONSTRUCTION_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
-        trace = np.trace(m).real
+        trace = m.trace().real
         if abs(trace - 1.0) > CONSTRUCTION_TOL:
             raise ValueError(f"density matrix trace {trace} is not 1 within 1e-12")
-        m = 0.5 * (m + m.conj().T)
-        m = m / np.trace(m).real
+        m = 0.5 * (m + adjoint)
+        m = m / m.trace().real
         w = np.linalg.eigvalsh(m)
         if w.min() < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")

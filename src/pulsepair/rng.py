@@ -3,12 +3,13 @@
 Every uniform variate is word k of a keyed stream, addressed by (seed, word
 index), instead of being pulled from a sequential generator, so any word can
 be computed directly from its address and any split of a run into passes
-reproduces bit-identical outcomes.  A run reads two streams of its seed: the
-gap stream, which places its click pulses (those where a detector clicks),
-and the pattern stream, whose word k is the click-pattern draw of the click
-pulse that gap word k places.  The
-mixing function is the splitmix64 output finalizer (Stafford mix 13) applied
-to a Weyl sequence, a standard construction for keyed counter streams.
+reproduces bit-identical outcomes.  A run reads up to two streams of its
+seed: the gap stream, which places its click pulses (those where a detector
+clicks), and the pattern stream, whose word k is the click-pattern draw of
+the click pulse that gap word k places, or of pulse k when the run hashes
+every pulse instead.  The mixing function is the splitmix64 output
+finalizer (Stafford mix 13) applied to a Weyl sequence, a standard
+construction for keyed counter streams.
 
 All vector routines operate on uint64 arrays and wrap modulo 2**64.
 """
@@ -89,7 +90,8 @@ def gap_stream_key(seed: int) -> int:
 
 def pattern_stream_key(seed: int) -> int:
     """Whiten a user seed into the key of the pattern stream, whose word k
-    is the click-pattern draw of the click pulse that gap word k places."""
+    is the click-pattern draw of the click pulse that gap word k places, or
+    of pulse k on the per-pulse kernel."""
     return mix64_int((seed & MASK64) + PATTERN_GAMMA)
 
 

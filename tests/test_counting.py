@@ -165,17 +165,20 @@ def test_simulate_run_all_zero_without_pairs_or_background():
 
 
 def test_simulate_run_deterministic_across_workers_and_chunks():
-    cfg = SourceConfig(gain_down=0.8, overlap_mu=0.9)
+    """On the gap kernel (lambda 0.01) and on the per-pulse kernel (lambda 2)."""
     det = DetectorConfig(0.5, 0.7, 2e-3, 1e-3)
-    records = [
-        simulate_run(cfg, 0.2, 0.9, det, RunConfig(200_000, seed=99, workers=w))
-        for w in (1, 2, 4, 8)
-    ]
-    assert all(r == records[0] for r in records)
-    odd_chunks = simulate_run(
-        cfg, 0.2, 0.9, det, RunConfig(200_000, seed=99, workers=3), chunk_size=777
-    )
-    assert odd_chunks == records[0]
+    for lam, per_pulse in ((0.01, False), (2.0, True)):
+        cfg = SourceConfig(gain_down=0.8, overlap_mu=0.9, mean_pairs_per_pulse=lam)
+        assert _tables(cfg, det, theta1=0.2, theta2=0.9).per_pulse == per_pulse
+        records = [
+            simulate_run(cfg, 0.2, 0.9, det, RunConfig(200_000, seed=99, workers=w))
+            for w in (1, 2, 4, 8)
+        ]
+        assert all(r == records[0] for r in records)
+        odd_chunks = simulate_run(
+            cfg, 0.2, 0.9, det, RunConfig(200_000, seed=99, workers=3), chunk_size=777
+        )
+        assert odd_chunks == records[0]
 
 
 @pytest.mark.parametrize("theta1, theta2", [
@@ -292,6 +295,28 @@ def test_multi_pair_monte_carlo_matches_exact_rates(lam):
         assert max(abs(p) for p in pulls) <= 5.0, (lam, d1, d2, pulls)
 
 
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_monte_carlo_matches_exact_rates_either_side_of_the_kernel_switch(side):
+    """Sources whose click chance lies 5 % below the switch to the per-pulse
+    kernel, so they take the gap kernel, or 5 % above it, so they take the
+    per-pulse one, match the exact rates; lambda is solved per angle pair
+    from 1 - p = (1 - b1)(1 - b2) exp(-lambda (s1 + s2 - s12))."""
+    rho = emitted_state(SourceConfig(gain_down=0.7, overlap_mu=0.8))
+    det = DetectorConfig(0.5, 0.7, 2e-3, 5e-3)
+    p_click = counting._PER_PULSE_CLICK_CHANCE * (0.95 if side == "below" else 1.05)
+    for i, (d1, d2) in enumerate([(0, 0), (0, 45), (22.5, 45), (90, 45), (135, 60)]):
+        t1, t2 = d1 * DEG, d2 * DEG
+        s1, s2, s12 = pair_click_probs(rho, t1, t2, det)
+        lam = float((np.log1p(-2e-3) + np.log1p(-5e-3) - np.log1p(-p_click)) / (s1 + s2 - s12))
+        cfg = SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=lam)
+        tables = counting._build_tables((s1, s2, s12), det, 0, lam)
+        assert tables.per_pulse == (side == "above")
+        np.testing.assert_allclose(-np.expm1(tables.log_q), p_click, rtol=1e-12)
+        rec = simulate_run(cfg, t1, t2, det, RunConfig(200_000, seed=7100 + i))
+        pulls = counting.tally_pulls(rec, exact_rates(rho, t1, t2, lam, det))
+        assert max(abs(p) for p in pulls) <= 5.0, (side, d1, d2, pulls)
+
+
 @pytest.mark.parametrize("lam, b", [(1e-6, 0.0), (0.01, 2e-3), (2.0, 2e-3), (1000.0, 2e-3)])
 def test_exact_rates_match_enumeration_oracle(lam, b):
     """Every angle pair at once and one at a time, to 1e-12 relative."""
@@ -340,10 +365,16 @@ def test_simulate_scan_equals_per_point_runs(scenario):
 # --- click-pulse sampler ----------------------------------------------------------
 
 
-def _tables(cfg, det, seed=12345):
-    """Sampling tables of a run at analyzer angles 0, 0."""
-    probs = pair_click_probs(emitted_state(cfg), 0.0, 0.0, det)
+def _tables(cfg, det, seed=12345, theta1=0.0, theta2=0.0):
+    """Sampling tables of a run, by default at analyzer angles 0, 0."""
+    probs = pair_click_probs(emitted_state(cfg), theta1, theta2, det)
     return counting._build_tables(probs, det, seed, cfg.mean_pairs_per_pulse)
+
+
+def _pin_kernel(monkeypatch, kernel):
+    """Send every run that has click pulses to one kernel, ``"gap"`` or
+    ``"per-pulse"``, whatever its click chance."""
+    monkeypatch.setattr(counting, "_PER_PULSE_CLICK_CHANCE", 1.0 if kernel == "gap" else 0.0)
 
 
 def _pass_pulses(cfg, det):
@@ -368,7 +399,9 @@ def _first_pass_end(tables):
 @pytest.mark.parametrize("words_per_pass", [1, 3, 4097, rng.ROW_WORDS])
 def test_event_positions_do_not_depend_on_gap_word_oversupply(monkeypatch, words_per_pass):
     """Each run spans three full passes and 123 pulses of a fourth, or about
-    3000 click pulses when a pass draws a few words."""
+    3000 click pulses when a pass draws a few words, on the gap kernel,
+    pinned here since the dense source would take the per-pulse one."""
+    _pin_kernel(monkeypatch, "gap")
     cases = [  # sparse, moderate, background only, dense
         (SourceConfig(mean_pairs_per_pulse=0.01), DetectorConfig(0.6, 0.6, 2.6e-3, 2.6e-3)),
         (SourceConfig(gain_down=0.7, mean_pairs_per_pulse=0.5), DetectorConfig(0.5, 0.7, 1e-2, 0.0)),
@@ -385,7 +418,10 @@ def test_event_positions_do_not_depend_on_gap_word_oversupply(monkeypatch, words
 
 def test_a_64_word_pass_cap_gives_the_same_counts(monkeypatch):
     """With the pass cap cut to 64 words, every pass but the last hits it,
-    and the run counts what one full pass and a short second one count."""
+    and the run counts what one full pass and a short second one count, on
+    the gap kernel, pinned here since the dense source would take the
+    per-pulse one."""
+    _pin_kernel(monkeypatch, "gap")
     cfg, det = _DENSE
     run = RunConfig(_pass_pulses(cfg, det) + 123, seed=5)
     expected = simulate_run(cfg, 0.2, 0.9, det, run)
@@ -399,6 +435,27 @@ def test_a_64_word_pass_cap_gives_the_same_counts(monkeypatch):
     monkeypatch.setattr(rng, "ROW_WORDS", 64)
     assert simulate_run(cfg, 0.2, 0.9, det, run) == expected
     assert len(sizes) > 500 and max(sizes) == 64
+
+
+def test_per_pulse_passes_of_64_pulses_give_the_same_counts(monkeypatch):
+    """With the pass cap cut to 64 words, a per-pulse run of two full passes
+    and 123 pulses takes 1058 passes of 64 pulses and counts the same:
+    pulse k draws pattern word k whatever the pass it falls in."""
+    cfg, det = _DENSE
+    assert _tables(cfg, det, theta1=0.2, theta2=0.9).per_pulse
+    n = 2 * rng.ROW_WORDS + 123
+    run = RunConfig(n, seed=5)
+    expected = simulate_run(cfg, 0.2, 0.9, det, run)
+    sizes, run_chunk = [], counting._run_chunk
+
+    def spy(tables, u, steps, ws):
+        sizes.append(u.size)
+        return run_chunk(tables, u, steps, ws)
+
+    monkeypatch.setattr(counting, "_run_chunk", spy)
+    monkeypatch.setattr(rng, "ROW_WORDS", 64)
+    assert simulate_run(cfg, 0.2, 0.9, det, run) == expected
+    assert len(sizes) == 1058 and sizes.count(64) == 1057 and sizes[-1] == n % 64
 
 
 @pytest.mark.parametrize("lam, b1, b2", [(0.01, 2.6e-3, 2.6e-3), (2.0, 1e-3, 1e-3), (0.0, 0.05, 0.0)])
@@ -439,14 +496,28 @@ def test_records_match_across_block_unaligned_chunks(n):
 
 
 @pytest.mark.parametrize("lam", [2.0, 1000.0])
-def test_one_more_pulse_adds_at_most_one_to_each_tally(lam):
+def test_one_more_pulse_adds_at_most_one_to_each_tally(lam, monkeypatch):
     """Runs of n and n + 1 pulses share the first n pulses, so their tallies
     differ only by what pulse n adds, for n at and around the end of the
     first pass, where accidentals are stitched across chunks, and for short
     runs.  At lambda = 1000 every pulse clicks both detectors, so it adds
-    exactly one to every tally."""
+    exactly one to every tally.  The gap kernel is pinned: these sources
+    would take the per-pulse one, tested below."""
+    _pin_kernel(monkeypatch, "gap")
     cfg, det = SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, 1e-3, 1e-3)
-    end = _first_pass_end(_tables(cfg, det, seed=8))
+    _check_one_more_pulse(cfg, det, _first_pass_end(_tables(cfg, det, seed=8)), lam == 1000.0)
+
+
+@pytest.mark.parametrize("lam", [2.0, 1000.0])
+def test_per_pulse_one_more_pulse_adds_at_most_one_to_each_tally(lam):
+    """The same on the per-pulse kernel, whose first pass ends at pulse
+    ``rng.ROW_WORDS`` - 1."""
+    cfg, det = SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, 1e-3, 1e-3)
+    assert _tables(cfg, det, theta1=0.2, theta2=0.9).per_pulse
+    _check_one_more_pulse(cfg, det, rng.ROW_WORDS - 1, lam == 1000.0)
+
+
+def _check_one_more_pulse(cfg, det, end, every_pulse_clicks_both):
     ns = [1, 2, 3, 1000] + [end + d for d in range(-3, 5)] + [2 * end + 3]
     for n in ns:
         a, b = (simulate_run(cfg, 0.2, 0.9, det, RunConfig(m, seed=8)) for m in (n, n + 1))
@@ -455,7 +526,7 @@ def test_one_more_pulse_adds_at_most_one_to_each_tally(lam):
         assert {d1, d2, coinc, acc} <= {0, 1}, (n, a, b)
         # both clicks on pulse n make its coincidence, D2 on it an accidental
         assert coinc <= min(d1, d2) and acc <= d2, (n, a, b)
-        if lam == 1000.0:
+        if every_pulse_clicks_both:
             assert b == CountRecord(n + 1, n + 1, n + 1, n + 1, n), (n, b)
 
 
@@ -480,14 +551,16 @@ def _reference_record(tables, n):
 
 
 @pytest.mark.parametrize("lam, b", [(2.0, 1e-3), (1000.0, 1e-3), (1e-6, 0.0)])
-def test_runs_match_a_reference_that_sums_every_pass(lam, b):
+def test_runs_match_a_reference_that_sums_every_pass(lam, b, monkeypatch):
     """Passes that end before the run's last pulse are tallied from their
     gaps alone, and only the pass that reaches it from positions: a run of
     n pulses, for n at and around the end of the first full pass, counts
     what a reference that sums every pass counts.  At lambda = 1e-6 with no
     background the gaps are about 2.4e6 pulses, and the end lies near 8e10;
     every visited pulse clicks a detector, so a run that counted the one
-    there past n would differ."""
+    there past n would differ.  The gap kernel is pinned: the two dense
+    sources would take the per-pulse one."""
+    _pin_kernel(monkeypatch, "gap")
     cfg, det = SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, b, b)
     tables = _tables(cfg, det, seed=2)
     end = _first_pass_end(tables)
@@ -496,11 +569,39 @@ def test_runs_match_a_reference_that_sums_every_pass(lam, b):
         assert got == _reference_record(tables, n), n
 
 
+def _per_pulse_reference_record(tables, n):
+    """A per-pulse run's tallies the long way: pattern word k drawn for
+    pulse k, clicks read from the three thresholds and accidentals from
+    neighbouring pulses."""
+    u = np.empty(n, np.uint64)
+    for first in range(0, n, rng.ROW_WORDS):
+        row = u[first : first + rng.ROW_WORDS]
+        rng.stream_words(tables.pattern_key, first, out=row, scratch=np.empty_like(row))
+    t1, t2, t3 = tables.thresholds
+    d1, d2 = u < t2, (u >= t1) & (u < t3)
+    delayed = d1[:-1] & d2[1:]
+    return CountRecord(n, *(int(np.count_nonzero(x)) for x in (d1, d2, d1 & d2, delayed)))
+
+
+@pytest.mark.parametrize("lam", [2.0, 1000.0])
+def test_per_pulse_runs_match_a_reference(lam):
+    """A per-pulse run of n pulses, for n at and around the end of the first
+    and second passes, counts what the reference counts."""
+    cfg, det = SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, 1e-3, 1e-3)
+    tables = _tables(cfg, det, seed=2)
+    assert tables.per_pulse
+    for n in (1, 2, rng.ROW_WORDS - 1, rng.ROW_WORDS, rng.ROW_WORDS + 1, 2 * rng.ROW_WORDS + 1):
+        got = simulate_run(cfg, 0.0, 0.0, det, RunConfig(n, seed=2))
+        assert got == _per_pulse_reference_record(tables, n), n
+
+
 def test_a_pass_whose_gaps_round_to_the_last_pulse_counts_exactly(monkeypatch):
     """At n = 2**53 gaps of 2**52, 2**52 and 1 from pulse -1 sum to
     2**53 + 1, which rounds to 2**53, so the pass seems to end at pulse
     n - 1; its positions are exact, and its third click pulse lies past the
-    run.  At lambda = 1000 every click pulse clicks both detectors."""
+    run.  At lambda = 1000 every click pulse clicks both detectors; the gap
+    kernel is pinned, since the source would take the per-pulse one."""
+    _pin_kernel(monkeypatch, "gap")
     cfg, det = SourceConfig(mean_pairs_per_pulse=1000.0), DetectorConfig()
 
     def gaps(tables, first_word, words, scratch):
@@ -515,31 +616,37 @@ def test_a_pass_whose_gaps_round_to_the_last_pulse_counts_exactly(monkeypatch):
 
 
 def _decoded_rates(tables):
-    """Per-pulse P(D1), P(D2) and P(both) read back from the two thresholds.
+    """Per-pulse P(D1), P(D2) and P(both) read back from the thresholds.
 
-    Given a click pulse, D1 clicks for draws in [0, t2), D2 for draws in
-    [t1, 2**64) and both for [t1, t2); a click pulse has chance 1 - Q.  The
-    widths are taken in integer arithmetic: a float 1 - t1 / 2**64 would
-    lose the low bits of t1.
+    D1 clicks for draws in [0, t2), D2 for draws in [t1, t3) and both for
+    [t1, t2).  On the gap kernel t3 is 2**64 and the draw is a click
+    pulse's, which has chance 1 - Q; on the per-pulse kernel it is any
+    pulse's.  The widths are taken in integer arithmetic: a float
+    1 - t1 / 2**64 would lose the low bits of t1.
     """
-    t1, t2 = (int(t) for t in tables.thresholds)
-    p_click = -np.expm1(tables.log_q)
-    return tuple(p_click * (width / 2**64) for width in (t2, 2**64 - t1, t2 - t1))
+    t1, t2, *t3 = (int(t) for t in tables.thresholds)
+    end, scale = (t3[0], 1.0) if tables.per_pulse else (2**64, -np.expm1(tables.log_q))
+    return tuple(scale * (width / 2**64) for width in (t2, end - t1, t2 - t1))
 
 
 @pytest.mark.parametrize("b1, b2", [(0.0, 0.0), (2e-3, 5e-3)])
 @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.01, 0.5, 2.0, 20.0, 1000.0])
-def test_event_cells_decode_to_exact_rates(lam, b1, b2):
+def test_event_cells_decode_to_exact_rates(lam, b1, b2, monkeypatch):
+    """The thresholds of both kernels, each pinned in turn, decode to the
+    exact rates; a source without click pulses gets two zero thresholds."""
     cfg = SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=lam)
     rho = emitted_state(cfg)
     det = DetectorConfig(0.5, 0.7, b1, b2)
-    for t1, t2 in [(0.0, 0.0), (0.0, 45 * DEG), (22.5 * DEG, 45 * DEG), (135 * DEG, 60 * DEG)]:
-        tables = counting._build_tables(pair_click_probs(rho, t1, t2, det), det, 12345, lam)
-        t = tables.thresholds
-        assert t.dtype == np.uint64 and t.shape == (2,) and t[0] <= t[1], t
-        p1, p2, pc, _ = enumerated_exact_rates(rho.matrix, t1, t2, lam, det)
-        got = _decoded_rates(tables)
-        assert max(abs(g - w) for g, w in zip(got, (p1, p2, pc))) < 1e-12, (t1, t2, got)
+    for kernel in ("gap", "per-pulse"):
+        _pin_kernel(monkeypatch, kernel)
+        for t1, t2 in [(0.0, 0.0), (0.0, 45 * DEG), (22.5 * DEG, 45 * DEG), (135 * DEG, 60 * DEG)]:
+            tables = counting._build_tables(pair_click_probs(rho, t1, t2, det), det, 12345, lam)
+            t = tables.thresholds
+            size = 3 if kernel == "per-pulse" and tables.log_q < 0.0 else 2
+            assert t.dtype == np.uint64 and t.shape == (size,) and np.all(t[:-1] <= t[1:]), t
+            p1, p2, pc, _ = enumerated_exact_rates(rho.matrix, t1, t2, lam, det)
+            got = _decoded_rates(tables)
+            assert max(abs(g - w) for g, w in zip(got, (p1, p2, pc))) < 1e-12, (t1, t2, got)
 
 
 @pytest.mark.parametrize("b1, b2", [(0.0, 0.0), (2e-3, 5e-3)])
@@ -602,11 +709,12 @@ def test_no_events_without_pairs_or_background(monkeypatch):
             assert rec == CountRecord(n, 0, 0, 0, 0)
 
 
-# CountRecords of the two-threshold pattern draw, visiting click pulses only,
-# each one's draw taken from the pattern stream beside its gap word, which
-# every chunk size and worker count must repeat exactly.
+# CountRecords which every chunk size and worker count must repeat exactly:
+# the fig3 point on the gap kernel, visiting click pulses only, each one's
+# draw taken from the pattern stream beside its gap word, and the dense
+# point on the per-pulse kernel, pulse k drawing pattern word k.
 _FIG3_RECORD = CountRecord(1_000_000, 5866, 5273, 946, 35)
-_DENSE_RECORD = CountRecord(200_000, 91206, 81633, 48654, 37116)
+_DENSE_RECORD = CountRecord(200_000, 90996, 81311, 48631, 36941)
 
 
 @pytest.mark.parametrize("workers, chunk", [(1, None), (2, None), (1, 77_777), (2, 77_777)])
@@ -645,7 +753,7 @@ def test_workspace_reuse_leaks_nothing_between_runs():
     again = [simulate_run(src, 0.3, 0.9, det, run) for src, det, run in reversed(cases)]
     assert again[::-1] == records
     assert simulate_run(cases[0][0], 0.3, 0.9, cases[0][1], cases[0][2]) == first
-    # no buffer outgrew one pass of gap words
+    # no buffer outgrew one pass
     cached = counting._thread_workspace()._bufs.values()
     assert max(buf.size for buf in cached) <= rng.ROW_WORDS
 
@@ -676,8 +784,10 @@ def test_concurrent_runs_in_threads_match_serial_runs():
 def test_default_chunk_workspace_stays_under_2_mib(setting):
     """A fresh thread's workspace after one run totals under 2 MiB: the gap
     words become the positions in place, and no buffer holds more than one
-    pass of words, whatever the click chance.  The last setting is
-    background only, one click pulse per 4096 pulses over about three passes."""
+    pass of words, whatever the click chance.  The dense setting takes the
+    per-pulse kernel, whose pass is ``rng.ROW_WORDS`` pulses.  The last
+    setting is background only, one click pulse per 4096 pulses over about
+    three passes."""
     fig3 = fig3_experiment()
     src, det, run = fig3.source, fig3.detector, fig3.run
     if setting == "dense":
@@ -687,16 +797,19 @@ def test_default_chunk_workspace_stays_under_2_mib(setting):
         b = 1.0 - (1.0 - 1.0 / 4096) ** 0.5
         src, det = SourceConfig(mean_pairs_per_pulse=0.0), DetectorConfig(0.6, 0.6, b, b)
         run = RunConfig(400_000_000, seed=12345)
-    sizes = {}
+    sizes, items = {}, []
 
     def fresh_thread_run():
         simulate_run(src, 30 * DEG, 45 * DEG, det, run)
-        sizes.update((name, buf.nbytes) for name, buf in counting._thread_workspace()._bufs.items())
+        bufs = counting._thread_workspace()._bufs
+        sizes.update((name, buf.nbytes) for name, buf in bufs.items())
+        items.append(max(buf.size for buf in bufs.values()))
 
     worker = threading.Thread(target=fresh_thread_run)
     worker.start()
     worker.join()
     assert sizes and sum(sizes.values()) < 2 << 20, sizes
+    assert max(items) <= rng.ROW_WORDS, items
 
 
 @pytest.mark.parametrize("setting", ["fig3", "dense", "scan"])
@@ -732,30 +845,31 @@ def test_warm_kernel_allocates_no_chunk_sized_array(setting):
 
 # --- pinned records ----------------------------------------------------------------
 
-# Captured when the runs came to visit only click pulses, where D1 or D2
-# clicks, instead of every pulse with a pair or a background click: the
-# SHA-256 over the records of the 136 runs of _digest_runs, one line each in
-# _record_line's format, and the first 8 hex digits of each line's own
-# SHA-256, which locate the first record that changed.  A change that alters counts on purpose recaptures both.
-_RECORDS_SHA256 = "539d0bf404efa748c7a6a58b2c18496609616e5d304c384cd2a9d0feca1a4db2"
+# Captured when runs whose click chance exceeds 0.36 came to hash every
+# pulse once (51 of the 136 lines changed, all of them such runs; the 85
+# runs of the gap kernel kept theirs): the SHA-256 over the records of the
+# 136 runs of _digest_runs, one line each in _record_line's format, and the
+# first 8 hex digits of each line's own SHA-256, which locate the first
+# record that changed.  A change that alters counts on purpose recaptures both.
+_RECORDS_SHA256 = "4f7fa9aefbc836eb03d187decf6a52f4caab74ff4edfbd6279668903ace56c78"
 _RECORD_TAGS = (
     "9bfb284d8063f76596253ea4d7a60b5d6412ad47941d7f30e52cb906b33be38f"
     "88d4b13b33fdaabf735f1a1fa619076a393484ab46da0313c351bfa549f25d17"
     "5cd744556aba48311da5998dad8de52734f7921095aea0f1e247eeb8bcca9822"
     "446246d2518b6640020ee841b064bd1b6797248561a5e6c0dc1ad522c0693488"
-    "a43416ee41a2e796facd236668e14f8dd481c483ad6443ba801fff2aff4ad9a5"
-    "671b1c19034d8ef8f17c6052c7798f11dc9164eff65de36ac4985732c493bb35"
-    "05765f4d0974b181ec35b0ba8fca11087fbd1561e229909b6a38b730baa0acf3"
-    "0febe0010020051a04244080aac265feb64a7a961988b67a2c36a3a62b892dd7"
-    "c3e4a16384b15eb4879733f6347ea157ee571e7a131c6f626ec2cf3aeb65fe68"
-    "0cd15dd01e20eff899d8204f259f5d10a457bf7615c589e81db19fcdd2c69714"
-    "7f2fa162588de49d69cc04ce979e226adf67db3e85113063d9bb19d5c52bbd06"
-    "38c93e457cc585f3d9be43585304451b913a0465cd25908b983f3f78fe1ae3c1"
-    "319da8cc904abcb528371aa58e51fe7dde8b8758c0ea18e31cad11380cef7862"
-    "dd9b0607f91c9fea28026703fa321c4d4f07fd1460cae69868af714ea3addbc7"
-    "c753c0b4492eab19f3a038b7c79b331a60c8d60d7bc96af41c50da1705428b8f"
-    "a4be08132e8170b4575cd586e819b8ad805bb2bb6d0896b5aa76ed0ea6271abd"
-    "41bed3f47cc68c72e87de7d6739ecb7f1add4880438c765c50c023e7e6ad88ec"
+    "a43416ee41a2e796facd236668e14f8d96d124517e09396f6278eb477fdeda77"
+    "6dd9b80e8827a92540f71b7a0ba959896a6e991d5c1a2c99b311ffbe7fe4abf6"
+    "1a472b2fd72f4e322fed52fae4cc3ed537c886e607afa3196288decf96ca8291"
+    "ae9540d963f0dee0516beafc7027837bcbc11f1c057e102f2b0baa6057b06c73"
+    "26f8315baa79a38e58c5fa793bfc58569474eb73744dae6e373fde714d1d378f"
+    "0cd15dd0e22b864999d8204f259f5d10a457bf7615c589e85a1efb8dd2c69714"
+    "8b069898588de49d69cc04ce12aea156df67db3e85113063d9bb19d5c52bbd06"
+    "38c93e457cc585f3b03939ef8a4e29d3913a0465cd25908b983f3f78fe1ae3c1"
+    "12995303904abcb5c3067a318e51fe7dde8b8758c0ea18e31cad11380cef7862"
+    "dd9b0607f91c9fead5b54fedfa321c4d4f07fd1460cae69868af714e9c760381"
+    "c753c0b45ab9e845f3a038b7c79b331a60c8d60d7bc96af4f21399c205428b8f"
+    "05564791155ef633575cd586e819b8ad805bb2bb6d0896b5aa76ed0ea6271abd"
+    "41bed3f47cc68c72e87de7d6739ecb7f1add4880438c765cf0be67ade6ad88ec"
 )
 
 

@@ -29,31 +29,32 @@ Q = P(neither).  It has two kernels for that, and the click chance alone
 picks one per run.
 
 Below a click chance of 0.36 (``_PER_PULSE_CLICK_CHANCE``) the gap kernel visits
-only click pulses.  Word k of the run's gap stream gives the geometric gap
-from click pulse k - 1 to click pulse k, and word k of its pattern stream
-the 64-bit draw u that decides which detectors click there; both streams
-are keyed by (seed, word index).  Two thresholds t1 <= t2 split the draws
-into the click patterns given a click pulse, in the order D1 only, both,
-D2 only, so D1 clicks if u < t2 and D2 if u >= t1: two compares against
-scalars per click pulse, with no table to search.  Every click pulse
-clicks one detector at least, so the coincidences are the singles' excess
-over the click pulses.  A delayed window needs click pulses one pulse
-apart, a gap of 1, so positions are summed only to find which click pulses
-of the pass that crosses the run's end lie inside the run.  Its cost grows
-with the number of click pulses, not of pulses or pairs.
+only click pulses.  Draw k of the run's gap stream gives the geometric gap
+from click pulse k - 1 to click pulse k, and draw k of its pattern stream
+the uniform u in [0, 1) that decides which detectors click there; both
+streams are numpy SFC64 generators of the run's seed (:mod:`pulsepair.rng`).
+Two thresholds t1 <= t2 split the draws into the click patterns given a
+click pulse, in the order D1 only, both, D2 only, so D1 clicks if u < t2
+and D2 if u >= t1: two compares against scalars per click pulse, with no
+table to search.  Every click pulse clicks one detector at least, so the
+coincidences are the singles' excess over the click pulses.  A delayed
+window needs click pulses one pulse apart, a gap of 1, so positions are
+summed only to find which click pulses of the pass that crosses the run's
+end lie inside the run.  Its cost grows with the number of click pulses,
+not of pulses or pairs.
 
 Above that click chance a gap would cost more than the pulses it skips, so
-the per-pulse kernel draws word k of the pattern stream for pulse k, and
-no gap stream.  A third threshold t3 puts the no-click pattern last: D1
-clicks if u < t2 and D2 if t1 <= u < t3, so a pulse costs one hash and
+the per-pulse kernel takes draw k of the pattern stream for pulse k, and
+builds no gap stream.  A third threshold t3 puts the no-click pattern last:
+D1 clicks if u < t2 and D2 if t1 <= u < t3, so a pulse costs one draw and
 three compares, accidentals need no gap test, and the cost grows with the
 number of pulses.
 
-Either kernel draws its streams in passes of at most ``rng.ROW_WORDS``
-words, one after another in a single thread; each pass is one chunk, and
-the same tallies and the same stitching of accidentals across chunks serve
-both.  A run is therefore bit-reproducible regardless of chunk size or
-worker count.
+Either kernel reads its streams front to back in passes of at most
+``rng.ROW_WORDS`` draws, one after another in a single thread; each pass is
+one chunk, and the same tallies and the same stitching of accidentals
+across chunks serve both.  A run is therefore bit-reproducible regardless
+of chunk size or worker count.
 
 A scan (:func:`simulate_scan`) is one run per analyzer-1 angle, point i
 seeded by ``rng.derive_seed(seed, i)``.  The emitted state and the click
@@ -65,10 +66,10 @@ Every chunk-sized intermediate is written with ``out=`` into flat buffers of
 one workspace per thread, which every chunk of a run and every later run on
 that thread reuse, so a warm run allocates no chunk-sized array and faults in
 no new pages.  A buffer that is dead by the time a later stage runs serves
-that stage too: the gap words become gaps in place, and on the pass that
+that stage too: the gap draws become gaps in place, and on the pass that
 crosses the run's end the positions are summed into the buffer that the
-pattern words then overwrite.  One pass draws at most ``rng.ROW_WORDS``
-words, so the buffers stay near that size whatever the click chance.
+pattern draws then overwrite.  One pass draws at most ``rng.ROW_WORDS``
+numbers, so the buffers stay near that size whatever the click chance.
 """
 
 from __future__ import annotations
@@ -351,17 +352,17 @@ _GAP_RESOLUTION = 2.0**-53
 
 
 def _gap_words(p_click: float, pulses: float) -> int:
-    """Gap words that cover ``pulses`` pulses: their expected click pulses
+    """Gap draws that cover ``pulses`` pulses: their expected click pulses
     plus four standard deviations and 2, so a pass seldom falls short, and
     at most ``pulses + 1``, which always run past the last pulse."""
     mean = pulses * p_click
     return int(min(mean + 4.0 * math.sqrt(mean * (1.0 - p_click)) + 2.0, pulses + 1))
 
 
-# Above this click chance 1 - Q a run hashes every pulse once instead of
+# Above this click chance 1 - Q a run draws for every pulse instead of
 # placing click pulses by geometric gaps: a click pulse costs the gap kernel
-# two hashes, a log and a divide, a pulse costs the per-pulse kernel one
-# hash and three compares.  The two break even near 0.36 (in-process sweep
+# two draws, a log and a divide, a pulse costs the per-pulse kernel one
+# draw and three compares.  The two break even near 0.36 (in-process sweep
 # of lambda = 0.5-2 at 200 k pulses on the pull table's dense source).
 _PER_PULSE_CLICK_CHANCE = 0.36
 
@@ -370,13 +371,13 @@ _PER_PULSE_CLICK_CHANCE = 0.36
 class _PulseTables:
     """Precomputed sampling tables shared by all chunks of one run."""
 
-    gap_key: int  # gap stream: the gap before each click pulse
-    pattern_key: int  # pattern stream: each click pulse's pattern draw
+    seed: int  # the run's seed mod 2**64, which keys both its streams
     log_q: float  # ln P(neither detector clicks) for one pulse
-    # uint64 thresholds over the patterns D1 only, both, D2 only, of a draw
-    # u: D1 clicks if u < t2, D2 if u >= t1.  Two of them, t1 <= t2, split a
-    # click pulse's draw (the gap kernel); three, t1 <= t2 <= t3, split any
-    # pulse's draw, and neither clicks if u >= t3 (the per-pulse kernel)
+    # cumulative chances of the patterns D1 only, both, D2 only, as
+    # thresholds on a draw u in [0, 1): D1 clicks if u < t2, D2 if u >= t1.
+    # Two of them, t1 <= t2, split a click pulse's draw (the gap kernel);
+    # three, t1 <= t2 <= t3, split any pulse's draw, and neither clicks if
+    # u >= t3 (the per-pulse kernel)
     thresholds: np.ndarray
 
     @property
@@ -400,14 +401,7 @@ def _build_tables(probs, det: DetectorConfig, seed: int, lam: float) -> _PulseTa
         p_click = -math.expm1(log_q)
         if p_click <= _PER_PULSE_CLICK_CHANCE:
             cdf = cdf[:2] / p_click  # given a click pulse
-    # c * 2**64 is exact, so int() floors it; a rounded cdf may pass 1
-    thresholds = np.array([min(int(c * 2.0**64), rng.MASK64) for c in cdf], np.uint64)
-    return _PulseTables(
-        gap_key=rng.gap_stream_key(seed),
-        pattern_key=rng.pattern_stream_key(seed),
-        log_q=log_q,
-        thresholds=thresholds,
-    )
+    return _PulseTables(seed & rng.MASK64, log_q, np.asarray(cdf, np.float64))
 
 
 class _Workspace:
@@ -445,26 +439,23 @@ def _thread_workspace() -> _Workspace:
     return ws
 
 
-def _gap_pass(
-    tables: _PulseTables, first_word: int, words: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Gaps between click pulses from gap words ``first_word`` on of the
-    run's gap stream, one per item of ``words``: gap k leads from the click
-    pulse before to the click pulse of word k.
+def _stream(seed: int, index: int):
+    """Stream ``index`` of a run's seed ``seed`` in [0, 2**64), a numpy SFC64
+    generator: 0 holds the gap draws, 1 the pattern draws.  ``numpy.random``
+    is first imported here, so only the Monte Carlo pays for it."""
+    return np.random.Generator(np.random.SFC64([seed, index]))
 
-    The gaps overwrite the words they come from, as a float64 view of
-    ``words``; ``scratch`` has ``words``' shape.  Each gap is a geometric
-    step floor(ln U / ln q) + 1 from one word w, with
-    U = 1 - (w >> 11) 2**-53 in (0, 1].  w >> 11 is below 2**53, so its int64
-    view converts to float64 exactly, and the scaled value is exactly
-    -(w >> 11) 2**-53.  Steps are whole numbers of at least 1, or +inf.
+
+def _gap_pass(tables: _PulseTables, gaps, steps: np.ndarray) -> np.ndarray:
+    """Gaps between click pulses from the next ``steps.size`` draws of the
+    gap stream ``gaps``, written into ``steps``: gap k leads from the click
+    pulse before to the click pulse of draw k.
+
+    Each gap is a geometric step floor(ln(1 - U) / ln q) + 1 from one
+    uniform U in [0, 1), a whole number of at least 1.
     """
-    rng.stream_words(tables.gap_key, first_word, out=words, scratch=scratch)
-    np.right_shift(words, np.uint64(11), out=scratch)
-    steps = words.view(np.float64)
-    np.copyto(steps, scratch.view(np.int64))
-    steps *= -(2.0**-53)
-    # U lies in (0, 1], so each step is finite or +inf, never NaN
+    gaps.random(out=steps)
+    np.negative(steps, out=steps)
     np.log1p(steps, out=steps)
     steps /= tables.log_q
     np.floor(steps, out=steps)
@@ -511,14 +502,16 @@ def _count_run(tables: _PulseTables, n: int, ws: _Workspace) -> CountRecord:
     """Tallies of one run of ``n`` pulses, one chunk per pass of its streams.
 
     On the per-pulse kernel a pass is the next ``rng.ROW_WORDS`` pulses at
-    most, pulse k drawing pattern word k.  On the gap kernel each pass
-    turns the gap stream's next words, at most ``rng.ROW_WORDS``, into gaps
-    in ``ws``; ``end``, ``last`` plus their sum, is the position of its
-    last click pulse.  A pass that ends before pulse n - 1 lies wholly
-    inside the run, and the next pass starts from ``end``.  The pass that
-    ends at or past it, the run's last, sums its gaps from ``last`` into
-    positions, and those below n are its click pulses.  Either way their
-    pattern words fill the ``keys`` buffer.
+    most, pulse k taking pattern draw k.  On the gap kernel each pass turns
+    the gap stream's next draws, at most ``rng.ROW_WORDS``, into gaps in
+    ``ws``; ``end``, ``last`` plus their sum, is the position of its last
+    click pulse.  A pass that ends before pulse n - 1 lies wholly inside
+    the run, and the next pass starts from ``end``.  The pass that ends at
+    or past it, the run's last, sums its gaps from ``last`` into positions,
+    and those below n are its click pulses.  Either way their pattern draws
+    fill the ``draws`` buffer.  How many gaps the last pass draws depends on
+    n, and the pattern draws come from a stream of their own, so runs of n
+    and n + 1 pulses share the draws of their common pulses.
 
     Gaps are whole numbers, so a sum below 2**53 is exact in any order, and
     one at or above it rounds to at least 2**53.  Then ``end`` is at least
@@ -529,30 +522,30 @@ def _count_run(tables: _PulseTables, n: int, ws: _Workspace) -> CountRecord:
     if tables.log_q == 0.0:  # no click pulses
         return CountRecord(n, 0, 0, 0, 0)
     p_click = -math.expm1(tables.log_q)
-    tallies, last, drawn, d1_last = (0, 0, 0, 0), -1.0, 0, False
+    patterns = _stream(tables.seed, 1)
+    gaps = None if tables.per_pulse else _stream(tables.seed, 0)
+    tallies, last, d1_last = (0, 0, 0, 0), -1.0, False
     while last < n - 1:
-        if tables.per_pulse:
-            words = m = min(n - drawn, rng.ROW_WORDS)
-            steps, end = None, last + words
+        if gaps is None:
+            m = min(n - 1 - int(last), rng.ROW_WORDS)
+            steps, end = None, last + m
         else:
             words = min(_gap_words(p_click, n - 1 - last), rng.ROW_WORDS)
-            scratch = ws.take("scratch", words, np.uint64)
-            steps = _gap_pass(tables, drawn, ws.take("words", words, np.uint64), scratch)
+            steps = _gap_pass(tables, gaps, ws.take("words", words, np.float64))
             end, m = last + float(steps.sum()), words
             if end >= n - 1:  # the pass that crosses the run's end
-                pos = ws.take("keys", words, np.uint64).view(np.float64)
+                pos = ws.take("draws", words, np.float64)
                 np.copyto(pos, steps)
                 pos[0] += last
                 m = int(np.cumsum(pos, out=pos).searchsorted(n))
                 steps = steps[:m]
-        u = rng.stream_words(tables.pattern_key, drawn, out=ws.take("keys", m, np.uint64),
-                             scratch=ws.take("scratch", m, np.uint64))
+        u = patterns.random(out=ws.take("draws", m, np.float64))
         *counts, d1_end, d2_start = _run_chunk(tables, u, steps, ws)
         # a delayed window across the chunk bound: D1 on the previous chunk's
         # last visited pulse and D2 on the pulse after it
         counts[3] += bool(d1_last and d2_start and (steps is None or steps[0] == 1.0))
         tallies = tuple(map(sum, zip(tallies, counts)))
-        drawn, last, d1_last = drawn + words, end, d1_end
+        last, d1_last = end, d1_end
     return CountRecord(n, *tallies)
 
 
@@ -592,25 +585,27 @@ def simulate_run(
     """Simulate ``run.n_pulses`` windows and tally counts.
 
     The run's click chance 1 - Q picks its kernel.  Below 0.36 only pulses
-    where D1 or D2 clicks are visited: word k of the run's gap stream gives
-    the gap before click pulse k, and word k of its pattern stream which
+    where D1 or D2 clicks are visited: draw k of the run's gap stream gives
+    the gap before click pulse k, and draw k of its pattern stream which
     detectors click there, compared with two thresholds; the cost grows with
-    the click pulses.  Above it every pulse is hashed once: word k of the
+    the click pulses.  Above it every pulse takes one draw: draw k of the
     pattern stream is compared with three thresholds, the third for the
     pulses where neither clicks; the cost grows with the pulses.  Both
-    streams are keyed by (seed, word) and the thresholds are built on
-    :func:`pair_click_probs`, so no pair is counted and no photon is routed
-    one by one.  The streams are drawn in passes of at most
-    ``rng.ROW_WORDS`` words, one chunk each, that run one after another in
-    this thread, in this thread's workspace.  The result depends only on
-    (seed, configs): ``chunk_size``, a positive int or ``None``, is kept for
+    streams are numpy SFC64 generators seeded by (seed mod 2**64, stream),
+    and the thresholds are built on :func:`pair_click_probs`, so no pair is
+    counted and no photon is routed one by one.  The streams are read in
+    passes of at most ``rng.ROW_WORDS`` draws, one chunk each, that run one
+    after another in this thread, in this thread's workspace.  The result
+    depends only on (seed, configs), and seeds equal mod 2**64 give the same
+    record: ``chunk_size``, a positive int or ``None``, is kept for
     compatibility and has no effect, as ``run.workers`` has none.  The
     counts for a given seed differ from those of earlier samplers, which
-    visited every pulse with a pair or a background click at any click
-    chance, keyed each such pulse's draw by its pulse index, split the gap
-    stream into blocks, drew its pair number or routed every pair photon by
-    photon; their statistics do not.  Non-finite analyzer angles raise
-    ``ValueError``.  This is the one-angle case of :func:`simulate_scan`.
+    drew from splitmix64 counter streams, visited every pulse with a pair or
+    a background click at any click chance, keyed each such pulse's draw by
+    its pulse index, split the gap stream into blocks, drew its pair number
+    or routed every pair photon by photon; their statistics do not.
+    Non-finite analyzer angles raise ``ValueError``.  This is the one-angle
+    case of :func:`simulate_scan`.
     """
     if chunk_size is not None and chunk_size < 1:
         raise ValueError("chunk_size must be positive")

@@ -1,6 +1,7 @@
 """Analytic rates against the enumeration oracle; Monte Carlo statistics."""
 
 import hashlib
+import math
 import sys
 import threading
 import tracemalloc
@@ -202,6 +203,18 @@ def test_simulate_run_different_seeds_differ():
     assert a != b
 
 
+def test_seeds_equal_mod_2_64_give_the_same_record():
+    """Seeds -1 and 2**64 - 1, the two ends of ``RunConfig``'s seed range,
+    key the same streams, on the gap kernel (lambda 0.01) and on the
+    per-pulse kernel (lambda 2); seed 0 keys other ones."""
+    det = DetectorConfig(0.5, 0.7, 2e-3, 1e-3)
+    for lam in (0.01, 2.0):
+        cfg = SourceConfig(mean_pairs_per_pulse=lam)
+        a, b, c = (simulate_run(cfg, 0.2, 0.9, det, RunConfig(100_000, seed=seed))
+                   for seed in (-1, 2**64 - 1, 0))
+        assert a == b != c
+
+
 def test_monte_carlo_matches_analytic_rates_over_angle_grid():
     cfg = SourceConfig(mean_pairs_per_pulse=0.01)
     rho = emitted_state(cfg)
@@ -378,21 +391,26 @@ def _pin_kernel(monkeypatch, kernel):
 
 
 def _pass_pulses(cfg, det):
-    """About the pulses that one full pass, ``rng.ROW_WORDS`` gap words, covers."""
+    """About the pulses that one full pass, ``rng.ROW_WORDS`` gap draws, covers."""
     return int(rng.ROW_WORDS / -np.expm1(_tables(cfg, det).log_q))
 
 
-def _pass_steps(tables, first_word, words):
-    """``words`` gaps from gap word ``first_word`` on, in a new workspace."""
-    ws = counting._Workspace()
-    return counting._gap_pass(tables, first_word, ws.take("words", words, np.uint64),
-                              ws.take("scratch", words, np.uint64))
+def _streams(tables):
+    """The run's gap and pattern streams, built as the kernel builds them."""
+    return tuple(np.random.Generator(np.random.SFC64([tables.seed, i])) for i in (0, 1))
+
+
+def _pass_steps(tables, words, gaps=None):
+    """The next ``words`` gaps of the gap stream ``gaps``, by default a new
+    one, in a new workspace."""
+    gaps = _streams(tables)[0] if gaps is None else gaps
+    return counting._gap_pass(tables, gaps, counting._Workspace().take("words", words, np.float64))
 
 
 def _first_pass_end(tables):
     """The last position of a full first pass: a run longer than it by two
     or more pulses draws a second pass."""
-    pos = -1.0 + np.cumsum(_pass_steps(tables, 0, rng.ROW_WORDS))
+    pos = -1.0 + np.cumsum(_pass_steps(tables, rng.ROW_WORDS))
     return int(pos[-1])
 
 
@@ -427,9 +445,9 @@ def test_a_64_word_pass_cap_gives_the_same_counts(monkeypatch):
     expected = simulate_run(cfg, 0.2, 0.9, det, run)
     sizes, gap_pass = [], counting._gap_pass
 
-    def spy(tables, first_word, words, scratch):
-        sizes.append(words.size)
-        return gap_pass(tables, first_word, words, scratch)
+    def spy(tables, gaps, steps):
+        sizes.append(steps.size)
+        return gap_pass(tables, gaps, steps)
 
     monkeypatch.setattr(counting, "_gap_pass", spy)
     monkeypatch.setattr(rng, "ROW_WORDS", 64)
@@ -440,7 +458,7 @@ def test_a_64_word_pass_cap_gives_the_same_counts(monkeypatch):
 def test_per_pulse_passes_of_64_pulses_give_the_same_counts(monkeypatch):
     """With the pass cap cut to 64 words, a per-pulse run of two full passes
     and 123 pulses takes 1058 passes of 64 pulses and counts the same:
-    pulse k draws pattern word k whatever the pass it falls in."""
+    pulse k takes pattern draw k whatever the pass it falls in."""
     cfg, det = _DENSE
     assert _tables(cfg, det, theta1=0.2, theta2=0.9).per_pulse
     n = 2 * rng.ROW_WORDS + 123
@@ -466,13 +484,14 @@ def test_event_pulse_count_is_binomial(lam, b1, b2):
     n = 1_000_000
     cfg, det = SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, b1, b2)
     tables = _tables(cfg, det, 77)
-    count, drawn, last = 0, 0, -1.0
+    gaps = _streams(tables)[0]
+    count, last = 0, -1.0
     while last < n - 1:
-        steps = _pass_steps(tables, drawn, rng.ROW_WORDS)
+        steps = _pass_steps(tables, rng.ROW_WORDS, gaps)
         assert np.all(steps >= 1.0) and np.all(steps == np.floor(steps))
         pos = last + np.cumsum(steps)
         count += pos.searchsorted(n)
-        drawn, last = drawn + steps.size, pos[-1]
+        last = pos[-1]
     p1, p2, pc, _ = enumerated_exact_rates(emitted_state(cfg).matrix, 0.0, 0.0, lam, det)
     p_click = p1 + p2 - pc
     assert _binomial_ok(count, n, p_click), (count, n * p_click)
@@ -531,19 +550,15 @@ def _check_one_more_pulse(cfg, det, end, every_pulse_clicks_both):
 
 
 def _reference_record(tables, n):
-    """A run's tallies the long way: every full pass of gap words summed
-    into positions from the last, each click pulse's pattern word drawn by
-    its word index, clicks read from the two thresholds and accidentals
-    from neighbouring positions."""
-    positions, draws, drawn, last = [], [], 0, -1.0
-    while last < n - 1:
-        pos = np.cumsum(np.concatenate([[last], _pass_steps(tables, drawn, rng.ROW_WORDS)]))[1:]
-        u = np.empty(rng.ROW_WORDS, np.uint64)
-        rng.stream_words(tables.pattern_key, drawn, out=u, scratch=np.empty_like(u))
-        positions.append(pos[pos < n])
-        draws.append(u[pos < n])
-        drawn, last = drawn + rng.ROW_WORDS, pos[-1]
-    pos, u = np.concatenate(positions), np.concatenate(draws)
+    """A run's tallies the long way: two full passes of gaps drawn in one
+    call and summed into positions from -1, one pattern draw per click
+    pulse inside the run in one call, clicks read from the two thresholds
+    and accidentals from neighbouring positions."""
+    gaps, patterns = _streams(tables)
+    pos = -1.0 + np.cumsum(_pass_steps(tables, 2 * rng.ROW_WORDS, gaps))
+    assert pos[-1] >= n - 1
+    pos = pos[pos < n]
+    u = patterns.random(pos.size)
     t1, t2 = tables.thresholds
     d1, d2 = u < t2, u >= t1
     delayed = (np.diff(pos) == 1.0) & d1[:-1] & d2[1:]
@@ -570,13 +585,10 @@ def test_runs_match_a_reference_that_sums_every_pass(lam, b, monkeypatch):
 
 
 def _per_pulse_reference_record(tables, n):
-    """A per-pulse run's tallies the long way: pattern word k drawn for
-    pulse k, clicks read from the three thresholds and accidentals from
-    neighbouring pulses."""
-    u = np.empty(n, np.uint64)
-    for first in range(0, n, rng.ROW_WORDS):
-        row = u[first : first + rng.ROW_WORDS]
-        rng.stream_words(tables.pattern_key, first, out=row, scratch=np.empty_like(row))
+    """A per-pulse run's tallies the long way: the pattern draws of all n
+    pulses in one call, pulse k taking draw k, clicks read from the three
+    thresholds and accidentals from neighbouring pulses."""
+    u = _streams(tables)[1].random(n)
     t1, t2, t3 = tables.thresholds
     d1, d2 = u < t2, (u >= t1) & (u < t3)
     delayed = d1[:-1] & d2[1:]
@@ -604,8 +616,7 @@ def test_a_pass_whose_gaps_round_to_the_last_pulse_counts_exactly(monkeypatch):
     _pin_kernel(monkeypatch, "gap")
     cfg, det = SourceConfig(mean_pairs_per_pulse=1000.0), DetectorConfig()
 
-    def gaps(tables, first_word, words, scratch):
-        steps = words.view(np.float64)
+    def gaps(tables, gen, steps):
         steps[:] = [2.0**52, 2.0**52, 1.0]
         return steps
 
@@ -615,25 +626,33 @@ def test_a_pass_whose_gaps_round_to_the_last_pulse_counts_exactly(monkeypatch):
     assert simulate_run(cfg, 0.0, 0.0, det, RunConfig(n, seed=3)) == CountRecord(n, 2, 2, 2, 0)
 
 
+def _below(t):
+    """The chance that a draw U = k 2**-53, k uniform below 2**53, is below
+    ``t``: ceil(t 2**53) 2**-53, clipped to [0, 1], in integer arithmetic."""
+    return min(max(math.ceil(float(t) * 2.0**53), 0), 2**53) / 2**53
+
+
 def _decoded_rates(tables):
     """Per-pulse P(D1), P(D2) and P(both) read back from the thresholds.
 
     D1 clicks for draws in [0, t2), D2 for draws in [t1, t3) and both for
-    [t1, t2).  On the gap kernel t3 is 2**64 and the draw is a click
-    pulse's, which has chance 1 - Q; on the per-pulse kernel it is any
-    pulse's.  The widths are taken in integer arithmetic: a float
-    1 - t1 / 2**64 would lose the low bits of t1.
+    [t1, t2).  On the gap kernel t3 is 1 and the draw is a click pulse's,
+    which has chance 1 - Q; on the per-pulse kernel it is any pulse's.
     """
-    t1, t2, *t3 = (int(t) for t in tables.thresholds)
-    end, scale = (t3[0], 1.0) if tables.per_pulse else (2**64, -np.expm1(tables.log_q))
-    return tuple(scale * (width / 2**64) for width in (t2, end - t1, t2 - t1))
+    t1, t2, *t3 = tables.thresholds
+    end, scale = (t3[0], 1.0) if tables.per_pulse else (1.0, -np.expm1(tables.log_q))
+    return tuple(scale * width for width in
+                 (_below(t2), _below(end) - _below(t1), _below(t2) - _below(t1)))
 
 
 @pytest.mark.parametrize("b1, b2", [(0.0, 0.0), (2e-3, 5e-3)])
 @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.01, 0.5, 2.0, 20.0, 1000.0])
 def test_event_cells_decode_to_exact_rates(lam, b1, b2, monkeypatch):
     """The thresholds of both kernels, each pinned in turn, decode to the
-    exact rates; a source without click pulses gets two zero thresholds."""
+    exact rates; a source without click pulses gets two zero thresholds.
+    The thresholds are the patterns' cumulative sums as float64, and a draw
+    resolves them to steps of 2**-53, so each pattern's chance is off by at
+    most 2**-53, the resolution of the gap draws (``_GAP_RESOLUTION``)."""
     cfg = SourceConfig(gain_down=0.7, overlap_mu=0.8, mean_pairs_per_pulse=lam)
     rho = emitted_state(cfg)
     det = DetectorConfig(0.5, 0.7, b1, b2)
@@ -643,7 +662,7 @@ def test_event_cells_decode_to_exact_rates(lam, b1, b2, monkeypatch):
             tables = counting._build_tables(pair_click_probs(rho, t1, t2, det), det, 12345, lam)
             t = tables.thresholds
             size = 3 if kernel == "per-pulse" and tables.log_q < 0.0 else 2
-            assert t.dtype == np.uint64 and t.shape == (size,) and np.all(t[:-1] <= t[1:]), t
+            assert t.dtype == np.float64 and t.shape == (size,) and np.all(t[:-1] <= t[1:]), t
             p1, p2, pc, _ = enumerated_exact_rates(rho.matrix, t1, t2, lam, det)
             got = _decoded_rates(tables)
             assert max(abs(g - w) for g, w in zip(got, (p1, p2, pc))) < 1e-12, (t1, t2, got)
@@ -710,11 +729,11 @@ def test_no_events_without_pairs_or_background(monkeypatch):
 
 
 # CountRecords which every chunk size and worker count must repeat exactly:
-# the fig3 point on the gap kernel, visiting click pulses only, each one's
-# draw taken from the pattern stream beside its gap word, and the dense
-# point on the per-pulse kernel, pulse k drawing pattern word k.
-_FIG3_RECORD = CountRecord(1_000_000, 5866, 5273, 946, 35)
-_DENSE_RECORD = CountRecord(200_000, 90996, 81311, 48631, 36941)
+# the fig3 point on the gap kernel, visiting click pulses only, click pulse
+# k taking pattern draw k beside gap draw k, and the dense point on the
+# per-pulse kernel, pulse k taking pattern draw k.
+_FIG3_RECORD = CountRecord(1_000_000, 5664, 5176, 920, 26)
+_DENSE_RECORD = CountRecord(200_000, 90592, 81306, 48240, 36920)
 
 
 @pytest.mark.parametrize("workers, chunk", [(1, None), (2, None), (1, 77_777), (2, 77_777)])
@@ -783,8 +802,8 @@ def test_concurrent_runs_in_threads_match_serial_runs():
 @pytest.mark.parametrize("setting", ["fig3", "dense", "one-event-per-4096"])
 def test_default_chunk_workspace_stays_under_2_mib(setting):
     """A fresh thread's workspace after one run totals under 2 MiB: the gap
-    words become the positions in place, and no buffer holds more than one
-    pass of words, whatever the click chance.  The dense setting takes the
+    draws become the gaps in place, and no buffer holds more than one pass
+    of draws, whatever the click chance.  The dense setting takes the
     per-pulse kernel, whose pass is ``rng.ROW_WORDS`` pulses.  The last
     setting is background only, one click pulse per 4096 pulses over about
     three passes."""
@@ -845,31 +864,31 @@ def test_warm_kernel_allocates_no_chunk_sized_array(setting):
 
 # --- pinned records ----------------------------------------------------------------
 
-# Captured when runs whose click chance exceeds 0.36 came to hash every
-# pulse once (51 of the 136 lines changed, all of them such runs; the 85
-# runs of the gap kernel kept theirs): the SHA-256 over the records of the
-# 136 runs of _digest_runs, one line each in _record_line's format, and the
-# first 8 hex digits of each line's own SHA-256, which locate the first
-# record that changed.  A change that alters counts on purpose recaptures both.
-_RECORDS_SHA256 = "4f7fa9aefbc836eb03d187decf6a52f4caab74ff4edfbd6279668903ace56c78"
+# Captured when both kernels came to draw from numpy SFC64 generators
+# instead of splitmix64 counter streams (all 136 lines changed): the SHA-256
+# over the records of the 136 runs of _digest_runs, one line each in
+# _record_line's format, and the first 8 hex digits of each line's own
+# SHA-256, which locate the first record that changed.  A change that alters
+# counts on purpose recaptures both.
+_RECORDS_SHA256 = "c605a1d77bb382b3702371196d4fa6cdee3aed6838f9f6b28efb0b66c27ad907"
 _RECORD_TAGS = (
-    "9bfb284d8063f76596253ea4d7a60b5d6412ad47941d7f30e52cb906b33be38f"
-    "88d4b13b33fdaabf735f1a1fa619076a393484ab46da0313c351bfa549f25d17"
-    "5cd744556aba48311da5998dad8de52734f7921095aea0f1e247eeb8bcca9822"
-    "446246d2518b6640020ee841b064bd1b6797248561a5e6c0dc1ad522c0693488"
-    "a43416ee41a2e796facd236668e14f8d96d124517e09396f6278eb477fdeda77"
-    "6dd9b80e8827a92540f71b7a0ba959896a6e991d5c1a2c99b311ffbe7fe4abf6"
-    "1a472b2fd72f4e322fed52fae4cc3ed537c886e607afa3196288decf96ca8291"
-    "ae9540d963f0dee0516beafc7027837bcbc11f1c057e102f2b0baa6057b06c73"
-    "26f8315baa79a38e58c5fa793bfc58569474eb73744dae6e373fde714d1d378f"
-    "0cd15dd0e22b864999d8204f259f5d10a457bf7615c589e85a1efb8dd2c69714"
-    "8b069898588de49d69cc04ce12aea156df67db3e85113063d9bb19d5c52bbd06"
-    "38c93e457cc585f3b03939ef8a4e29d3913a0465cd25908b983f3f78fe1ae3c1"
-    "12995303904abcb5c3067a318e51fe7dde8b8758c0ea18e31cad11380cef7862"
-    "dd9b0607f91c9fead5b54fedfa321c4d4f07fd1460cae69868af714e9c760381"
-    "c753c0b45ab9e845f3a038b7c79b331a60c8d60d7bc96af4f21399c205428b8f"
-    "05564791155ef633575cd586e819b8ad805bb2bb6d0896b5aa76ed0ea6271abd"
-    "41bed3f47cc68c72e87de7d6739ecb7f1add4880438c765cf0be67ade6ad88ec"
+    "27688172fa29973fbcdb147461a88c76105230a8f6493762d467de4298827720"
+    "4bd066e1a1e27083d8d26b0830f14dba6066d090196edeb73fa27c7bbae5da32"
+    "89abc2d2665a5a4af72d992aa262f828f8f1c1f398d99742d5b613b531969765"
+    "a261ae9773aca01cb4778685db57a58f1c107c3d7cc1043cd0a83adce88276b6"
+    "5aa09de75174864c3d538dea58fb5314aa61c00fa92b198b6ea5a0031826048b"
+    "baef86ab14cb7951c6ad2995f99128fa51d22a7a13d0c9bc6625640bdf1d7c7f"
+    "e83263dad6bbb83f9700a1975b7bedb83f916a87dac375de43e5157c050066d9"
+    "78b589c0fd283858b4ddbc7c9a3eea4a252126a81b0b3c48e819943a0d30b937"
+    "4768b932ba55f6c8f96b614e090f0368c79d11416b24a2e4b7e21c7fddb5d901"
+    "7d436c5a95f5fe4528786a8202b61ae0445ff5dc46bfa2498da013ebbe40a540"
+    "7f6115c73d403f3e5fcd069f8dea6ae35b2dfea0becbf3bcdcf39173437834e7"
+    "2232966c5fe24fef4e25d149811a7c91b9707e75636c0a4f9827c2450edd8db5"
+    "295dc723a92aeacd407c5956a09c2c4bd27b439ca8f1cffeba6e47721cf5aec4"
+    "6085ab77af25e45f63c881c0aa350ceed9981f4d3548183b0e835b3e42c27278"
+    "328ac6efd0751179fe8fbe455ab36181a5b24fd8d7ae0b7723a58fcbea8bb1e3"
+    "cb3a2e618ff166d20ef0c907a9eedb43f97aa00f2a921519d46a582c8a6ff252"
+    "3512675a128791aff9d4ea3b09ea883ec4824adc8d16d33c9903dcb1a8f871f9"
 )
 
 

@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tools/pull_table.py --runs 600
 
-Runs R seeds, run i seeded ``derive_seed(seed, i)``, at each of five fixed
-settings, all at analyzer angles 30 and 45 degrees:
+Runs R seeds at each of five fixed settings, run i of setting j seeded
+``derive_seed(derive_seed(seed, j), i)``, all at analyzer angles 30 and 45
+degrees:
 
   fig3        the reproduce-fig3 source and detectors at 1 M pulses;
   lambda 0.5  the dense source (gain_down 0.7, overlap_mu 0.8) at 200 k
@@ -17,7 +18,8 @@ one pull, (observed - mean) / sigma, from ``counting.tally_pulls`` against
 ``counting.exact_rates``.  Per setting and tally the table gives the mean
 pull, the mean over its standard error SD / sqrt(R), the SD and the largest
 |pull|, as a markdown table; the last line of stdout is the same table as
-one JSON object.
+one JSON object.  Each setting has seeds of its own, so no two settings
+read the same draws, and one setting's pulls do not move with another's.
 
 The exit status is 0 when every mean lies within 3 standard errors of 0 and
 every SD within [0.9, 1.15], and 1 otherwise.  A correct sampler still fails
@@ -64,9 +66,10 @@ def settings() -> list[tuple[str, SourceConfig, DetectorConfig, int]]:
 def pull_rows(runs: int, seed: int) -> list[dict]:
     """One row per setting and tally: mean pull, mean / s.e., SD, max |pull|."""
     rows = []
-    for name, src, det, n in settings():
+    for j, (name, src, det, n) in enumerate(settings()):
         rates = exact_rates(emitted_state(src), THETA1, THETA2, src.mean_pairs_per_pulse, det)
-        records = [simulate_run(src, THETA1, THETA2, det, RunConfig(n, derive_seed(seed, i)))
+        base = derive_seed(seed, j)
+        records = [simulate_run(src, THETA1, THETA2, det, RunConfig(n, derive_seed(base, i)))
                    for i in range(runs)]
         pulls = np.array([tally_pulls(rec, rates) for rec in records])
         mean, sd = pulls.mean(0), pulls.std(0, ddof=1)
@@ -87,14 +90,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=600, help="seeds per setting, at least 2")
     parser.add_argument("--seed", type=int, default=2718,
-                        help="run i is seeded derive_seed(seed, i)")
+                        help="run i of setting j is seeded derive_seed(derive_seed(seed, j), i)")
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be at least 2")
     rows = pull_rows(args.runs, args.seed)
     ok = all(within_bounds(row) for row in rows)
     print(f"Pulls against exact_rates, {args.runs} runs per setting, seeds "
-          f"derive_seed({args.seed}, i), analyzers at 30 and 45 degrees.\n")
+          f"derive_seed(derive_seed({args.seed}, j), i) for setting j, analyzers at 30 "
+          "and 45 degrees.\n")
     print("| setting | tally | mean | mean/s.e. | SD | max \\|pull\\| |")
     print("|---|---|---|---|---|---|")
     for row in rows:

@@ -32,7 +32,7 @@ Below a click chance of 0.36 (``_PER_PULSE_CLICK_CHANCE``) the gap kernel visits
 only click pulses.  Draw k of the run's gap stream gives the geometric gap
 from click pulse k - 1 to click pulse k, and draw k of its pattern stream
 the uniform u in [0, 1) that decides which detectors click there; both
-streams are numpy SFC64 generators of the run's seed (:mod:`pulsepair.rng`).
+streams are numpy SFC64 generators of the run's seed (:func:`_stream`).
 Two thresholds t1 <= t2 split the draws into the click patterns given a
 click pulse, in the order D1 only, both, D2 only, so D1 clicks if u < t2
 and D2 if u >= t1: two compares against scalars per click pulse, with no
@@ -51,7 +51,7 @@ three compares, accidentals need no gap test, and the cost grows with the
 number of pulses.
 
 Either kernel reads its streams front to back in passes of at most
-``rng.ROW_WORDS`` draws, one after another in a single thread; each pass is
+``ROW_WORDS`` draws, one after another in a single thread; each pass is
 one chunk, and the same tallies and the same stitching of accidentals
 across chunks serve both.  A run is therefore bit-reproducible regardless
 of chunk size or worker count.
@@ -68,7 +68,7 @@ that thread reuse, so a warm run allocates no chunk-sized array and faults in
 no new pages.  A buffer that is dead by the time a later stage runs serves
 that stage too: the gap draws become gaps in place, and on the pass that
 crosses the run's end the positions are summed into the buffer that the
-pattern draws then overwrite.  One pass draws at most ``rng.ROW_WORDS``
+pattern draws then overwrite.  One pass draws at most ``ROW_WORDS``
 numbers, so the buffers stay near that size whatever the click chance.
 """
 
@@ -261,15 +261,10 @@ def expected_rates(
     return ExpectedRates(*rates)
 
 
-def _log_neither(lam, b1, b2, s1, s2, s12):
-    """ln Q, Q = P(neither detector clicks in a pulse) =
-    (1 - b1)(1 - b2) exp(-lam (s1 + s2 - s12))."""
-    return np.log1p(-b1) + np.log1p(-b2) - lam * (s1 + s2 - s12)
-
-
 def _event_patterns(lam, b1, b2, s1, s2, s12) -> tuple:
-    """Per-pulse probabilities of a click pulse's patterns: D1 only, both,
-    D2 only.  They sum to P(click) = 1 - Q.
+    """ln Q, Q = P(neither detector clicks in a pulse), and the per-pulse
+    probabilities of a click pulse's patterns: D1 only, both, D2 only.  The
+    patterns sum to P(click) = 1 - Q.
 
     (s1, s2, s12) are one pair's click probabilities from
     :func:`pair_click_probs` and b1, b2 the background probabilities.  Summed
@@ -284,8 +279,10 @@ def _event_patterns(lam, b1, b2, s1, s2, s12) -> tuple:
     l1, l2 = np.log1p(-b1), np.log1p(-b2)
     # one pair's chance of D1 alone and of D2 alone, never below 0
     only1, only2 = np.maximum(s1 - s12, 0.0), np.maximum(s2 - s12, 0.0)
-    neither = np.exp(_log_neither(lam, b1, b2, s1, s2, s12))
+    log_q = l1 + l2 - lam * (s1 + s2 - s12)
+    neither = np.exp(log_q)
     return (
+        log_q,
         -np.exp(l2 - lam * s2) * np.expm1(l1 - lam * only1),
         # (1 - A)(1 - B) + Q - AB, with Q - AB = Q (1 - exp(-lam s12))
         np.expm1(l1 - lam * s1) * np.expm1(l2 - lam * s2) - neither * np.expm1(-lam * s12),
@@ -314,7 +311,7 @@ def exact_rates(
     if lam < 0:
         raise ValueError("mean_pairs_per_pulse must be nonnegative")
     probs = pair_click_probs(rho, theta1, theta2, det)
-    only1, both, only2 = _event_patterns(lam, det.background_prob1, det.background_prob2, *probs)
+    _, only1, both, only2 = _event_patterns(lam, det.background_prob1, det.background_prob2, *probs)
     p1, p2 = only1 + both, both + only2
     return ExpectedRates(*np.clip(np.broadcast_arrays(p1, p2, both, p1 * p2), 0.0, 1.0))
 
@@ -345,6 +342,9 @@ def subtract_accidentals(rec: CountRecord) -> float:
 
 
 # --- Monte Carlo engine ----------------------------------------------------
+
+# The most draws one pass of a run takes from each of its streams.
+ROW_WORDS = (1 << 15) + (1 << 10)
 
 # Gap draws resolve U to steps of 2**-53, so they cannot place click pulses
 # rarer than that; a pulse's click chance below it counts as none.
@@ -392,16 +392,15 @@ def _build_tables(probs, det: DetectorConfig, seed: int, lam: float) -> _PulseTa
     The run takes the per-pulse kernel when its click chance 1 - Q exceeds
     ``_PER_PULSE_CLICK_CHANCE``, so the kernel depends on (lam, b1, b2,
     s1, s2, s12) alone."""
-    b1, b2 = det.background_prob1, det.background_prob2
-    log_q = float(_log_neither(lam, b1, b2, *probs))
+    log_q, *patterns = _event_patterns(lam, det.background_prob1, det.background_prob2, *probs)
     if log_q > -_GAP_RESOLUTION:
         log_q, cdf = 0.0, (0.0, 0.0)  # no click pulses
     else:
-        cdf = np.cumsum(_event_patterns(lam, b1, b2, *probs))
+        cdf = np.cumsum(patterns)
         p_click = -math.expm1(log_q)
         if p_click <= _PER_PULSE_CLICK_CHANCE:
             cdf = cdf[:2] / p_click  # given a click pulse
-    return _PulseTables(seed & rng.MASK64, log_q, np.asarray(cdf, np.float64))
+    return _PulseTables(seed & rng.MASK64, float(log_q), np.asarray(cdf, np.float64))
 
 
 class _Workspace:
@@ -410,7 +409,7 @@ class _Workspace:
     ``take(name, n, dtype)`` returns the first ``n`` items of buffer
     ``name``, replacing the buffer by a larger one when it is too short; a
     name always comes with the same dtype.  Every request is bounded by one
-    pass, so the buffers stay near ``rng.ROW_WORDS`` items.
+    pass, so the buffers stay near ``ROW_WORDS`` items.
     """
 
     def __init__(self) -> None:
@@ -501,9 +500,9 @@ def _run_chunk(
 def _count_run(tables: _PulseTables, n: int, ws: _Workspace) -> CountRecord:
     """Tallies of one run of ``n`` pulses, one chunk per pass of its streams.
 
-    On the per-pulse kernel a pass is the next ``rng.ROW_WORDS`` pulses at
+    On the per-pulse kernel a pass is the next ``ROW_WORDS`` pulses at
     most, pulse k taking pattern draw k.  On the gap kernel each pass turns
-    the gap stream's next draws, at most ``rng.ROW_WORDS``, into gaps in
+    the gap stream's next draws, at most ``ROW_WORDS``, into gaps in
     ``ws``; ``end``, ``last`` plus their sum, is the position of its last
     click pulse.  A pass that ends before pulse n - 1 lies wholly inside
     the run, and the next pass starts from ``end``.  The pass that ends at
@@ -527,10 +526,10 @@ def _count_run(tables: _PulseTables, n: int, ws: _Workspace) -> CountRecord:
     tallies, last, d1_last = (0, 0, 0, 0), -1.0, False
     while last < n - 1:
         if gaps is None:
-            m = min(n - 1 - int(last), rng.ROW_WORDS)
+            m = min(n - 1 - int(last), ROW_WORDS)
             steps, end = None, last + m
         else:
-            words = min(_gap_words(p_click, n - 1 - last), rng.ROW_WORDS)
+            words = min(_gap_words(p_click, n - 1 - last), ROW_WORDS)
             steps = _gap_pass(tables, gaps, ws.take("words", words, np.float64))
             end, m = last + float(steps.sum()), words
             if end >= n - 1:  # the pass that crosses the run's end
@@ -594,16 +593,11 @@ def simulate_run(
     streams are numpy SFC64 generators seeded by (seed mod 2**64, stream),
     and the thresholds are built on :func:`pair_click_probs`, so no pair is
     counted and no photon is routed one by one.  The streams are read in
-    passes of at most ``rng.ROW_WORDS`` draws, one chunk each, that run one
+    passes of at most ``ROW_WORDS`` draws, one chunk each, that run one
     after another in this thread, in this thread's workspace.  The result
     depends only on (seed, configs), and seeds equal mod 2**64 give the same
     record: ``chunk_size``, a positive int or ``None``, is kept for
-    compatibility and has no effect, as ``run.workers`` has none.  The
-    counts for a given seed differ from those of earlier samplers, which
-    drew from splitmix64 counter streams, visited every pulse with a pair or
-    a background click at any click chance, keyed each such pulse's draw by
-    its pulse index, split the gap stream into blocks, drew its pair number
-    or routed every pair photon by photon; their statistics do not.
+    compatibility and has no effect, as ``run.workers`` has none.
     Non-finite analyzer angles raise ``ValueError``.  This is the one-angle
     case of :func:`simulate_scan`.
     """

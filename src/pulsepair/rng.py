@@ -1,18 +1,15 @@
-"""Seeds and pass length of the Monte Carlo's random streams.
+"""Child seeds of a Monte Carlo scan.
 
-A run of seed s draws its uniforms from numpy's SFC64 generator, through
-``np.random.Generator(np.random.SFC64([s mod 2**64, stream]))``: stream 0
-holds the gaps that place its click pulses (those where a detector clicks),
-stream 1 the click-pattern draws, one for each click pulse in order, or
-one for each pulse when the run visits every pulse.  Both are read front
-to back, in passes of at most ``ROW_WORDS`` draws, and a float64 draw takes
-one 64-bit word whatever the pass it falls in, so a run's draws do not
-depend on how its passes split them.  Only the Monte Carlo builds
-generators, so a process that never runs it never imports ``numpy.random``.
+Point i of a scan of seed s runs with seed ``derive_seed(s, i)``, word i of
+a keyed counter stream: the splitmix64 output finalizer (Stafford mix 13)
+applied to a Weyl sequence.  The stream's key is that finalizer applied to
+s mod 2**64 offset by the golden ratio, so seeds equal mod 2**64 give the
+same child seeds.  A run's own random draws come from numpy generators
+built in :mod:`pulsepair.counting`, not from here.
 
-This module gives the child seeds of a scan: :func:`derive_seed` is word
-``index`` of a keyed counter stream, the splitmix64 output finalizer
-(Stafford mix 13) applied to a Weyl sequence.
+:func:`mix64`, the finalizer over a uint64 array, has no caller in the
+package: it stays for perfbench's ``rng.ns_per_word`` probe until perfbench
+drops that metric.
 """
 
 from __future__ import annotations
@@ -33,9 +30,6 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
-# The most draws one pass of a run takes from each of its streams.
-ROW_WORDS = (1 << 15) + (1 << 10)
-
 
 def mix64(z: np.ndarray) -> np.ndarray:
     """Finalize a uint64 array in place; returns the diffused array."""
@@ -55,13 +49,8 @@ def mix64_int(x: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-def stream_key(seed: int) -> int:
-    """Whiten a user seed into the key of its seed stream, whose words are
-    the child seeds of :func:`derive_seed`."""
-    return mix64_int((seed & MASK64) + PULSE_GAMMA)
-
-
 def derive_seed(seed: int, index: int) -> int:
     """Child seed for an independent sub-stream (e.g. one per scan angle):
-    word ``index`` of the seed stream."""
-    return mix64_int(stream_key(seed) + (index + 1) * DRAW_GAMMA)
+    word ``index`` of the stream keyed by ``seed`` mod 2**64."""
+    key = mix64_int((seed & MASK64) + PULSE_GAMMA)
+    return mix64_int(key + (index + 1) * DRAW_GAMMA)

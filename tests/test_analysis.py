@@ -159,6 +159,42 @@ def test_fit_weighted_equals_unweighted_on_noiseless_data():
     assert abs(a.amplitude - b.amplitude) < 1e-9
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("subtract", [False, True])
+@pytest.mark.parametrize("scale", [400.0, 3.0])
+def test_fit_sigmas_match_closed_forms(scale, subtract, weighted):
+    """The three sigmas equal their closed forms with V = diag(max(y, 1)):
+    the parameter covariance is the sandwich (X^T X)^-1 X^T V X (X^T X)^-1
+    unweighted and (X^T V^-1 X)^-1 weighted, carried to amplitude and
+    visibility by delta-method gradients.  At scale 3 some corrected counts
+    are zero, so the variance floor is read."""
+    draw = np.random.default_rng(31)
+    acc = draw.poisson(0.1 * scale, GRID.size).astype(float)
+    counts = draw.poisson(scale * (1.1 + 0.9 * np.cos(2 * GRID - 0.7))).astype(float)
+    fit = fit_fringe(synthetic_scan(counts, accidentals=acc),
+                     use_accidental_subtraction=subtract, weighted=weighted)
+    y = np.maximum(counts - acc, 0.0) if subtract else counts
+    x = np.column_stack([np.ones_like(GRID), np.cos(2 * GRID), np.sin(2 * GRID)])
+    v = np.maximum(y, 1.0)
+    if weighted:
+        cov = np.linalg.inv(x.T @ np.diag(1.0 / v) @ x)
+        c = cov @ x.T @ (y / v)
+    else:
+        xtx_inv = np.linalg.inv(x.T @ x)
+        cov = xtx_inv @ x.T @ np.diag(v) @ x @ xtx_inv
+        c = xtx_inv @ x.T @ y
+    offset, amp = c[0], np.hypot(c[1], c[2])
+    grads = (
+        (fit.offset_sigma, np.array([1.0, 0.0, 0.0])),
+        (fit.amplitude_sigma, np.array([0.0, c[1], c[2]]) / amp),
+        (fit.visibility_sigma, np.array([-amp / offset, c[1] / amp, c[2] / amp]) / offset),
+    )
+    if subtract and scale == 3.0:
+        assert y.min() == 0.0
+    for got, grad in grads:
+        assert got == pytest.approx(np.sqrt(grad @ cov @ grad), rel=1e-12, abs=0.0)
+
+
 def test_accidental_subtraction_never_lowers_visibility_for_flat_floor():
     base = 100 + 80 * np.cos(2 * GRID)
     floor = np.full(36, 15.0)

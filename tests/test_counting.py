@@ -391,8 +391,8 @@ def _pin_kernel(monkeypatch, kernel):
 
 
 def _pass_pulses(cfg, det):
-    """About the pulses that one full pass, ``rng.ROW_WORDS`` gap draws, covers."""
-    return int(rng.ROW_WORDS / -np.expm1(_tables(cfg, det).log_q))
+    """About the pulses that one full pass, ``counting.ROW_WORDS`` gap draws, covers."""
+    return int(counting.ROW_WORDS / -np.expm1(_tables(cfg, det).log_q))
 
 
 def _streams(tables):
@@ -410,11 +410,11 @@ def _pass_steps(tables, words, gaps=None):
 def _first_pass_end(tables):
     """The last position of a full first pass: a run longer than it by two
     or more pulses draws a second pass."""
-    pos = -1.0 + np.cumsum(_pass_steps(tables, rng.ROW_WORDS))
+    pos = -1.0 + np.cumsum(_pass_steps(tables, counting.ROW_WORDS))
     return int(pos[-1])
 
 
-@pytest.mark.parametrize("words_per_pass", [1, 3, 4097, rng.ROW_WORDS])
+@pytest.mark.parametrize("words_per_pass", [1, 3, 4097, counting.ROW_WORDS])
 def test_event_positions_do_not_depend_on_gap_word_oversupply(monkeypatch, words_per_pass):
     """Each run spans three full passes and 123 pulses of a fourth, or about
     3000 click pulses when a pass draws a few words, on the gap kernel,
@@ -426,7 +426,7 @@ def test_event_positions_do_not_depend_on_gap_word_oversupply(monkeypatch, words
         (SourceConfig(mean_pairs_per_pulse=0.0), DetectorConfig(0.6, 0.6, 0.3, 0.2)),
         _DENSE,
     ]
-    passes = 3 if words_per_pass > 3 else 3000 / rng.ROW_WORDS
+    passes = 3 if words_per_pass > 3 else 3000 / counting.ROW_WORDS
     runs = [(cfg, det, RunConfig(int(passes * _pass_pulses(cfg, det)) + 123, seed=31 + i))
             for i, (cfg, det) in enumerate(cases)]
     expected = [simulate_run(cfg, 0.2, 0.9, det, run) for cfg, det, run in runs]
@@ -450,7 +450,7 @@ def test_a_64_word_pass_cap_gives_the_same_counts(monkeypatch):
         return gap_pass(tables, gaps, steps)
 
     monkeypatch.setattr(counting, "_gap_pass", spy)
-    monkeypatch.setattr(rng, "ROW_WORDS", 64)
+    monkeypatch.setattr(counting, "ROW_WORDS", 64)
     assert simulate_run(cfg, 0.2, 0.9, det, run) == expected
     assert len(sizes) > 500 and max(sizes) == 64
 
@@ -461,7 +461,7 @@ def test_per_pulse_passes_of_64_pulses_give_the_same_counts(monkeypatch):
     pulse k takes pattern draw k whatever the pass it falls in."""
     cfg, det = _DENSE
     assert _tables(cfg, det, theta1=0.2, theta2=0.9).per_pulse
-    n = 2 * rng.ROW_WORDS + 123
+    n = 2 * counting.ROW_WORDS + 123
     run = RunConfig(n, seed=5)
     expected = simulate_run(cfg, 0.2, 0.9, det, run)
     sizes, run_chunk = [], counting._run_chunk
@@ -471,7 +471,7 @@ def test_per_pulse_passes_of_64_pulses_give_the_same_counts(monkeypatch):
         return run_chunk(tables, u, steps, ws)
 
     monkeypatch.setattr(counting, "_run_chunk", spy)
-    monkeypatch.setattr(rng, "ROW_WORDS", 64)
+    monkeypatch.setattr(counting, "ROW_WORDS", 64)
     assert simulate_run(cfg, 0.2, 0.9, det, run) == expected
     assert len(sizes) == 1058 and sizes.count(64) == 1057 and sizes[-1] == n % 64
 
@@ -487,7 +487,7 @@ def test_event_pulse_count_is_binomial(lam, b1, b2):
     gaps = _streams(tables)[0]
     count, last = 0, -1.0
     while last < n - 1:
-        steps = _pass_steps(tables, rng.ROW_WORDS, gaps)
+        steps = _pass_steps(tables, counting.ROW_WORDS, gaps)
         assert np.all(steps >= 1.0) and np.all(steps == np.floor(steps))
         pos = last + np.cumsum(steps)
         count += pos.searchsorted(n)
@@ -530,10 +530,10 @@ def test_one_more_pulse_adds_at_most_one_to_each_tally(lam, monkeypatch):
 @pytest.mark.parametrize("lam", [2.0, 1000.0])
 def test_per_pulse_one_more_pulse_adds_at_most_one_to_each_tally(lam):
     """The same on the per-pulse kernel, whose first pass ends at pulse
-    ``rng.ROW_WORDS`` - 1."""
+    ``counting.ROW_WORDS`` - 1."""
     cfg, det = SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, 1e-3, 1e-3)
     assert _tables(cfg, det, theta1=0.2, theta2=0.9).per_pulse
-    _check_one_more_pulse(cfg, det, rng.ROW_WORDS - 1, lam == 1000.0)
+    _check_one_more_pulse(cfg, det, counting.ROW_WORDS - 1, lam == 1000.0)
 
 
 def _check_one_more_pulse(cfg, det, end, every_pulse_clicks_both):
@@ -555,7 +555,7 @@ def _reference_record(tables, n):
     pulse inside the run in one call, clicks read from the two thresholds
     and accidentals from neighbouring positions."""
     gaps, patterns = _streams(tables)
-    pos = -1.0 + np.cumsum(_pass_steps(tables, 2 * rng.ROW_WORDS, gaps))
+    pos = -1.0 + np.cumsum(_pass_steps(tables, 2 * counting.ROW_WORDS, gaps))
     assert pos[-1] >= n - 1
     pos = pos[pos < n]
     u = patterns.random(pos.size)
@@ -602,7 +602,7 @@ def test_per_pulse_runs_match_a_reference(lam):
     cfg, det = SourceConfig(mean_pairs_per_pulse=lam), DetectorConfig(0.6, 0.6, 1e-3, 1e-3)
     tables = _tables(cfg, det, seed=2)
     assert tables.per_pulse
-    for n in (1, 2, rng.ROW_WORDS - 1, rng.ROW_WORDS, rng.ROW_WORDS + 1, 2 * rng.ROW_WORDS + 1):
+    for n in (1, 2, counting.ROW_WORDS - 1, counting.ROW_WORDS, counting.ROW_WORDS + 1, 2 * counting.ROW_WORDS + 1):
         got = simulate_run(cfg, 0.0, 0.0, det, RunConfig(n, seed=2))
         assert got == _per_pulse_reference_record(tables, n), n
 
@@ -672,7 +672,7 @@ def test_event_cells_decode_to_exact_rates(lam, b1, b2, monkeypatch):
 @pytest.mark.parametrize("lam", [1e-6, 0.01, 0.5, 2.0, 10.0, 20.0, 100.0, 1000.0])
 def test_event_patterns_match_poisson_sum(lam, b1, b2):
     """The closed-form click patterns (D1 only, both, D2 only) equal the sum
-    over the pair number, and add up to 1 - Q.
+    over the pair number, and add up to 1 - Q, whose ln Q comes with them.
 
     Up to lam = 10 they agree to 1e-12 relative.  Above it the oracle's log
     pmf, k ln lam - lam - ln k!, adds terms of size lam ln lam, about 7000 at
@@ -685,13 +685,14 @@ def test_event_patterns_match_poisson_sum(lam, b1, b2):
     rtol = 1e-12 * max(lam / 10.0, 1.0)
     for t1, t2 in [(0.0, 0.0), (0.0, 45 * DEG), (22.5 * DEG, 45 * DEG), (135 * DEG, 60 * DEG)]:
         probs = [float(p) for p in pair_click_probs(rho, t1, t2, det)]
-        got = counting._event_patterns(lam, b1, b2, *probs)
+        log_q, *got = counting._event_patterns(lam, b1, b2, *probs)
         assert len(got) == 3
         want = poisson_pattern_probs(lam, b1, b2, *probs)[1:]
         np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0, err_msg=f"{t1} {t2}")
         s1, s2, s12 = probs
-        p_click = -np.expm1(np.log1p(-b1) + np.log1p(-b2) - lam * (s1 + s2 - s12))
-        np.testing.assert_allclose(sum(got), p_click, rtol=1e-15, atol=0.0)
+        want_log_q = np.log1p(-b1) + np.log1p(-b2) - lam * (s1 + s2 - s12)
+        np.testing.assert_allclose(log_q, want_log_q, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(sum(got), -np.expm1(log_q), rtol=1e-15, atol=0.0)
 
 
 def test_exact_rate_oracle_matches_poisson_sum_at_small_lambda():
@@ -774,7 +775,7 @@ def test_workspace_reuse_leaks_nothing_between_runs():
     assert simulate_run(cases[0][0], 0.3, 0.9, cases[0][1], cases[0][2]) == first
     # no buffer outgrew one pass
     cached = counting._thread_workspace()._bufs.values()
-    assert max(buf.size for buf in cached) <= rng.ROW_WORDS
+    assert max(buf.size for buf in cached) <= counting.ROW_WORDS
 
 
 def test_concurrent_runs_in_threads_match_serial_runs():
@@ -804,7 +805,7 @@ def test_default_chunk_workspace_stays_under_2_mib(setting):
     """A fresh thread's workspace after one run totals under 2 MiB: the gap
     draws become the gaps in place, and no buffer holds more than one pass
     of draws, whatever the click chance.  The dense setting takes the
-    per-pulse kernel, whose pass is ``rng.ROW_WORDS`` pulses.  The last
+    per-pulse kernel, whose pass is ``counting.ROW_WORDS`` pulses.  The last
     setting is background only, one click pulse per 4096 pulses over about
     three passes."""
     fig3 = fig3_experiment()
@@ -828,7 +829,7 @@ def test_default_chunk_workspace_stays_under_2_mib(setting):
     worker.start()
     worker.join()
     assert sizes and sum(sizes.values()) < 2 << 20, sizes
-    assert max(items) <= rng.ROW_WORDS, items
+    assert max(items) <= counting.ROW_WORDS, items
 
 
 @pytest.mark.parametrize("setting", ["fig3", "dense", "scan"])

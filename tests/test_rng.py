@@ -77,6 +77,32 @@ def test_derive_seed_is_deterministic_and_spread():
     assert len(set(children)) == 100
 
 
+def test_mix64_int_is_splitmix64():
+    """The first output of reference splitmix64 seeded with 0 is the
+    finalizer of one golden-ratio step."""
+    assert rng.mix64_int(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
+
+
+# (seed, index) -> child seed, pinned so that no rewrite of derive_seed
+# moves a scan's points onto other streams; seeds equal mod 2**64 agree
+_CHILD_SEEDS = {
+    (-1, 0): 0x6B07B7D0A7AFE795,
+    (-1, 7): 0xF2596F91B0BE209C,
+    (0, 0): 0x2FF145472E2746D6,
+    (12345, 0): 0x87A9436927BB6A18,
+    (12345, 35): 0x63EDEC74176E1FE2,
+    (715_517, 1): 0x96439CC66ED38024,
+    (2**63, 2): 0xE68CF674C2B25155,
+    (2**64 - 1, 0): 0x6B07B7D0A7AFE795,
+    (2**64 - 1, 7): 0xF2596F91B0BE209C,
+}
+
+
+@pytest.mark.parametrize("seed, index", sorted(_CHILD_SEEDS))
+def test_derive_seed_known_answers(seed, index):
+    assert rng.derive_seed(seed, index) == _CHILD_SEEDS[seed, index]
+
+
 def test_mix64_int_matches_vector_mix():
     z = np.array([0, 1, 2**63, rng.MASK64], dtype=np.uint64)
     vec = rng.mix64(z.copy())

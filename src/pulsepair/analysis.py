@@ -79,9 +79,12 @@ class FringeFit:
     """Result of a fringe fit.
 
     ``phase`` is the analyzer-1 angle of the fringe maximum in [0, pi);
-    ``visibility`` is amplitude/offset clamped into [0, 1], with a one-sigma
-    Poisson propagation estimate in ``visibility_sigma``; the extreme-bin
-    estimator (max-min)/(max+min) is kept alongside the fit-based one.
+    ``visibility`` is amplitude/offset clamped into [0, 1], and
+    ``visibility_sigma`` is the one-sigma Poisson propagation estimate of
+    the unclamped ratio amplitude/offset: a fit whose ratio exceeds 1 reads
+    V = 1 with the ratio's sigma, which says nothing about the clamp.  The
+    extreme-bin estimator (max-min)/(max+min) is kept alongside the
+    fit-based one.
     """
 
     offset: float

@@ -30,7 +30,8 @@ picks one per run.
 
 Below a click chance of 0.36 (``_PER_PULSE_CLICK_CHANCE``) the gap kernel visits
 only click pulses.  Draw k of the run's gap stream gives the geometric gap
-from click pulse k - 1 to click pulse k, and draw k of its pattern stream
+from click pulse k - 1 to click pulse k, the log of 1 - U times the run's
+stored 1 / ln Q, floored, plus 1; and draw k of its pattern stream
 the uniform u in [0, 1) that decides which detectors click there; both
 streams are numpy SFC64 generators of the run's seed (:func:`_stream`).
 Two thresholds t1 <= t2 split the draws into the click patterns given a
@@ -57,8 +58,9 @@ across chunks serve both.  A run is therefore bit-reproducible regardless
 of chunk size or worker count.
 
 A scan (:func:`simulate_scan`) is one run per analyzer-1 angle, point i
-seeded by ``rng.derive_seed(seed, i)``.  The emitted state and the click
-probabilities of every angle are computed once per scan, and each point
+seeded by ``rng.derive_seed(seed, i)``.  The click probabilities of every
+angle are computed once per scan, the emitted state once per config per
+process (:func:`pulsepair.source.emitted_state` caches it), and each point
 then builds its own tables and runs the same chunk loop;
 :func:`simulate_run` is the one-angle case, with the run's own seed.
 
@@ -83,7 +85,6 @@ import numpy as np
 
 from . import rng
 from .polarization import NO_ANALYZER, DensityMatrix, analyzer_vector, correlation_tensor
-from .polarization import pass_probability
 from .source import SourceConfig, emitted_state
 
 FIRST_ORDER_LAMBDA_LIMIT = 0.1
@@ -185,10 +186,24 @@ def _exchange_symmetric_tensor(rho: DensityMatrix) -> np.ndarray:
     return 0.5 * (t + t.T)
 
 
-def _click_rate(s: np.ndarray, c: np.ndarray, eta: float) -> float | np.ndarray:
-    """One pair's click probability at a port with analyzer vector ``c`` and
-    efficiency ``eta``, given the exchange-symmetric tensor ``s``."""
-    return eta * pass_probability(s, NO_ANALYZER, c) - eta**2 * 0.25 * pass_probability(s, c, c)
+def _analyzer_passes(rho: DensityMatrix, *thetas: np.ndarray) -> tuple:
+    """One contraction of the exchange-symmetric tensor S of rho with the
+    port without an analyzer and the analyzer vectors c of every angle in
+    ``thetas``, flattened one array after another.
+
+    Returns the rows c and c^T S, one per angle, and each analyzer's chance
+    that a photon passes it while its partner meets no analyzer,
+    c0^T S c / 4, and that both photons pass it, c^T S c / 4.
+    """
+    c = analyzer_vector(np.concatenate([t.ravel() for t in thetas]))
+    w = np.concatenate((NO_ANALYZER[None], c)) @ _exchange_symmetric_tensor(rho)
+    return c, w[1:], 0.25 * (w[0] * c).sum(-1), 0.25 * (w[1:] * c).sum(-1)
+
+
+def _click_rate(alone, both, eta: float):
+    """One pair's click probability at a port of efficiency ``eta``, given
+    the chances ``alone`` and ``both`` of :func:`_analyzer_passes`."""
+    return eta * alone - eta**2 * 0.25 * both
 
 
 def pair_click_rate(
@@ -202,7 +217,9 @@ def pair_click_rate(
     eta^2/4 * P(theta, theta) double-transmission overlap.  An array of
     angles gives an array of rates.
     """
-    return _click_rate(_exchange_symmetric_tensor(rho), analyzer_vector(theta), efficiency)
+    t = np.asarray(theta, dtype=float)
+    _, _, alone, both = _analyzer_passes(rho, t)
+    return _click_rate(alone, both, efficiency).reshape(t.shape)[()]
 
 
 def pair_click_probs(
@@ -216,13 +233,17 @@ def pair_click_probs(
     s1 and s2 are :func:`pair_click_rate` at each port.  Both detectors click
     only when the photons take different ports and both are transmitted and
     detected: s12 = eta1 eta2 (P(theta1, theta2) + P(theta2, theta1)) / 4.
-    All three read one correlation tensor.  Arrays of angles pass through;
-    s12 takes their broadcast shape.
+    All three come from one contraction of the correlation tensor with the
+    analyzer vectors of both ports.  Arrays of angles pass through: s1
+    takes theta1's shape, s2 theta2's, and s12 their broadcast shape.
     """
-    s = _exchange_symmetric_tensor(rho)
-    c1, c2 = analyzer_vector(theta1), analyzer_vector(theta2)
-    s12 = det.efficiency1 * det.efficiency2 * 0.5 * pass_probability(s, c1, c2)
-    return _click_rate(s, c1, det.efficiency1), _click_rate(s, c2, det.efficiency2), s12
+    t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
+    c, w, alone, both = _analyzer_passes(rho, t1, t2)
+    n = t1.size
+    s1 = _click_rate(alone[:n], both[:n], det.efficiency1).reshape(t1.shape)[()]
+    s2 = _click_rate(alone[n:], both[n:], det.efficiency2).reshape(t2.shape)[()]
+    cross = 0.25 * (w[:n].reshape(t1.shape + (3,)) * c[n:].reshape(t2.shape + (3,))).sum(-1)
+    return s1, s2, det.efficiency1 * det.efficiency2 * 0.5 * cross
 
 
 def expected_rates(
@@ -361,9 +382,12 @@ def _gap_words(p_click: float, pulses: float) -> int:
 
 # Above this click chance 1 - Q a run draws for every pulse instead of
 # placing click pulses by geometric gaps: a click pulse costs the gap kernel
-# two draws, a log and a divide, a pulse costs the per-pulse kernel one
-# draw and three compares.  The two break even near 0.36 (in-process sweep
-# of lambda = 0.5-2 at 200 k pulses on the pull table's dense source).
+# two draws, a log and a multiply, a pulse costs the per-pulse kernel one
+# draw and three compares.  The constant was set where the two broke even
+# in an in-process sweep of lambda = 0.5-2 at 200 k pulses on the pull
+# table's dense source.  With the cheaper gap pass the same sweep puts
+# break-even near 0.28, the gap kernel about 1.1x slower at 0.32-0.36;
+# lowering the constant would change the counts of the runs in between.
 _PER_PULSE_CLICK_CHANCE = 0.36
 
 
@@ -373,6 +397,7 @@ class _PulseTables:
 
     seed: int  # the run's seed mod 2**64, which keys both its streams
     log_q: float  # ln P(neither detector clicks) for one pulse
+    inv_log_q: float  # 1 / log_q, which scales ln(1 - U) to a gap; 0 without click pulses
     # cumulative chances of the patterns D1 only, both, D2 only, as
     # thresholds on a draw u in [0, 1): D1 clicks if u < t2, D2 if u >= t1.
     # Two of them, t1 <= t2, split a click pulse's draw (the gap kernel);
@@ -400,7 +425,10 @@ def _build_tables(probs, det: DetectorConfig, seed: int, lam: float) -> _PulseTa
         p_click = -math.expm1(log_q)
         if p_click <= _PER_PULSE_CLICK_CHANCE:
             cdf = cdf[:2] / p_click  # given a click pulse
-    return _PulseTables(seed & rng.MASK64, float(log_q), np.asarray(cdf, np.float64))
+    log_q = float(log_q)
+    return _PulseTables(
+        seed & rng.MASK64, log_q, 1.0 / log_q if log_q else 0.0, np.asarray(cdf, np.float64)
+    )
 
 
 class _Workspace:
@@ -451,12 +479,16 @@ def _gap_pass(tables: _PulseTables, gaps, steps: np.ndarray) -> np.ndarray:
     pulse before to the click pulse of draw k.
 
     Each gap is a geometric step floor(ln(1 - U) / ln q) + 1 from one
-    uniform U in [0, 1), a whole number of at least 1.
+    uniform U in [0, 1), a whole number of at least 1.  U is a multiple of
+    2**-53, so 1 - U is exact, and its log is scaled by the stored
+    ``inv_log_q`` = 1 / ln q: a log and a multiply per gap in place of
+    log1p of -U and a divide, which cost about twice as much and gave the
+    same gap in every draw checked.
     """
     gaps.random(out=steps)
-    np.negative(steps, out=steps)
-    np.log1p(steps, out=steps)
-    steps /= tables.log_q
+    np.subtract(1.0, steps, out=steps)
+    np.log(steps, out=steps)
+    steps *= tables.inv_log_q
     np.floor(steps, out=steps)
     steps += 1.0
     return steps
@@ -561,9 +593,10 @@ def _simulate(
     probabilities come from one call each, before the first run; each run's
     tables are dropped before the next run's are built."""
     for name, theta in (("theta1", theta1s), ("theta2", theta2)):
-        bad = [t for t in np.asarray(theta, dtype=float).ravel().tolist() if not math.isfinite(t)]
-        if bad:
-            raise ValueError(f"analyzer angle {name} must be finite, got {bad[0]}")
+        t = np.asarray(theta, dtype=float)
+        finite = np.isfinite(t)
+        if not finite.all():
+            raise ValueError(f"analyzer angle {name} must be finite, got {t[~finite][0]}")
     # one (s1, s2, s12) per angle, in C order over the broadcast shape
     rows = np.broadcast(*pair_click_probs(emitted_state(cfg), theta1s, theta2, det))
     lam, ws = cfg.mean_pairs_per_pulse, _thread_workspace()
@@ -613,9 +646,9 @@ def simulate_scan(
 
     Point i is run with seed ``derive_seed(run.seed, i)`` and equals
     ``simulate_run(cfg, theta1s[i], theta2, det, RunConfig(run.n_pulses,
-    derive_seed(run.seed, i)))``.  What no angle changes, the emitted state
-    and its correlation tensor, is computed once per scan, and all angles'
-    click probabilities come from one array call.  A non-finite angle
-    anywhere raises ``ValueError`` before any point runs.
+    derive_seed(run.seed, i)))``.  All angles' click probabilities come
+    from one array call, on the state that :func:`pulsepair.source.emitted_state`
+    builds once per config.  A non-finite angle anywhere raises
+    ``ValueError`` before any point runs.
     """
     return _simulate(cfg, theta1s, theta2, det, run, lambda i: rng.derive_seed(run.seed, i))

@@ -10,6 +10,7 @@ factors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -73,10 +74,14 @@ class SourceConfig:
             raise ValueError("degenerate source: both emission amplitudes vanish")
 
 
-def _amplitudes(cfg: SourceConfig) -> tuple[complex, complex]:
-    a_h = cfg.gain_up * np.cos(cfg.pump_angle)
-    a_v = cfg.gain_down * np.sin(cfg.pump_angle) * np.exp(1j * cfg.relative_phase)
+def _amplitudes(pump_angle, gain_up, gain_down, relative_phase) -> tuple[complex, complex]:
+    a_h = gain_up * np.cos(pump_angle)
+    a_v = gain_down * np.sin(pump_angle) * np.exp(1j * relative_phase)
     return complex(a_h), complex(a_v)
+
+
+# How many configs' emitted states stay cached; the least recently used goes first.
+_STATE_CACHE_SIZE = 64
 
 
 def emitted_state(cfg: SourceConfig) -> DensityMatrix:
@@ -84,8 +89,20 @@ def emitted_state(cfg: SourceConfig) -> DensityMatrix:
 
     Populations |aH|^2 and |aV|^2 on HH and VV, HH <-> VV coherence scaled by
     ``overlap_mu``; the HV/VH sector is empty for this source geometry.
+    Equal configs, and configs that differ only in ``mean_pairs_per_pulse``,
+    give the same immutable :class:`DensityMatrix`, built and eigen-checked
+    once per process while the config stays among the
+    ``_STATE_CACHE_SIZE`` most recently used.
     """
-    a_h, a_v = _amplitudes(cfg)
+    return _state(cfg.pump_angle, cfg.gain_up, cfg.gain_down, cfg.relative_phase, cfg.overlap_mu)
+
+
+# typed: a numpy float32 field computes in its own precision, so it must not
+# share an entry with the equal Python float.  Equal values of opposite zero
+# sign may share one, since they build equal entries with equal sign bits.
+@functools.lru_cache(maxsize=_STATE_CACHE_SIZE, typed=True)
+def _state(pump_angle, gain_up, gain_down, relative_phase, overlap_mu) -> DensityMatrix:
+    a_h, a_v = _amplitudes(pump_angle, gain_up, gain_down, relative_phase)
     # only the amplitudes' ratio matters; scaling the larger one to 1 keeps
     # the squares below from overflowing or underflowing
     scale = max(abs(a_h), abs(a_v))
@@ -96,7 +113,7 @@ def emitted_state(cfg: SourceConfig) -> DensityMatrix:
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = abs(a_h) ** 2 / norm
     rho[3, 3] = abs(a_v) ** 2 / norm
-    rho[0, 3] = cfg.overlap_mu * a_h * np.conj(a_v) / norm
+    rho[0, 3] = overlap_mu * a_h * np.conj(a_v) / norm
     rho[3, 0] = np.conj(rho[0, 3])
     return DensityMatrix(rho)
 
@@ -106,7 +123,7 @@ def amplitude_ratio(cfg: SourceConfig) -> complex:
 
     Undefined for a pure-VV source (zero HH amplitude).
     """
-    a_h, a_v = _amplitudes(cfg)
+    a_h, a_v = _amplitudes(cfg.pump_angle, cfg.gain_up, cfg.gain_down, cfg.relative_phase)
     if abs(a_h) <= 1e-12 * np.hypot(abs(a_h), abs(a_v)):
         raise ValueError("amplitude ratio undefined: pure VV source (zero HH amplitude)")
     return a_v / a_h

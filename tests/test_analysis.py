@@ -174,6 +174,17 @@ def test_fit_sigmas_match_closed_forms(scale, subtract, weighted):
     fit = fit_fringe(synthetic_scan(counts, accidentals=acc),
                      use_accidental_subtraction=subtract, weighted=weighted)
     y = np.maximum(counts - acc, 0.0) if subtract else counts
+    if subtract and scale == 3.0:
+        assert y.min() == 0.0
+    got = (fit.offset_sigma, fit.amplitude_sigma, fit.visibility_sigma)
+    assert got == pytest.approx(_closed_form_sigmas(y, weighted), rel=1e-12, abs=0.0)
+
+
+def _closed_form_sigmas(y, weighted):
+    """Sigmas of offset, amplitude and the unclamped ratio amplitude/offset
+    of a fit of ``y`` over GRID, with V = diag(max(y, 1)): the sandwich
+    (X^T X)^-1 X^T V X (X^T X)^-1 unweighted and (X^T V^-1 X)^-1 weighted,
+    carried by delta-method gradients."""
     x = np.column_stack([np.ones_like(GRID), np.cos(2 * GRID), np.sin(2 * GRID)])
     v = np.maximum(y, 1.0)
     if weighted:
@@ -185,14 +196,26 @@ def test_fit_sigmas_match_closed_forms(scale, subtract, weighted):
         c = xtx_inv @ x.T @ y
     offset, amp = c[0], np.hypot(c[1], c[2])
     grads = (
-        (fit.offset_sigma, np.array([1.0, 0.0, 0.0])),
-        (fit.amplitude_sigma, np.array([0.0, c[1], c[2]]) / amp),
-        (fit.visibility_sigma, np.array([-amp / offset, c[1] / amp, c[2] / amp]) / offset),
+        np.array([1.0, 0.0, 0.0]),
+        np.array([0.0, c[1], c[2]]) / amp,
+        np.array([-amp / offset, c[1] / amp, c[2] / amp]) / offset,
     )
-    if subtract and scale == 3.0:
-        assert y.min() == 0.0
-    for got, grad in grads:
-        assert got == pytest.approx(np.sqrt(grad @ cov @ grad), rel=1e-12, abs=0.0)
+    return [np.sqrt(g @ cov @ g) for g in grads]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_clamped_fit_reports_the_sigma_of_the_unclamped_ratio(weighted):
+    """A fringe whose fitted amplitude exceeds its offset, as when accidental
+    subtraction floors the minima at zero, reads V = 1 with the propagated
+    sigma of the ratio amplitude/offset; the clamp has no sigma of its own."""
+    counts = np.maximum(0.0, 1000.0 + 1500.0 * np.cos(2 * GRID - 0.4)).round()
+    fit = fit_fringe(synthetic_scan(counts), weighted=weighted)
+    assert fit.amplitude / fit.offset > 1.05
+    assert fit.visibility == 1.0
+    assert fit.visibility_sigma == pytest.approx(
+        _closed_form_sigmas(counts, weighted)[2], rel=1e-12, abs=0.0
+    )
+    assert fit.visibility_sigma > 0.0
 
 
 def test_accidental_subtraction_never_lowers_visibility_for_flat_floor():

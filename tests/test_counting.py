@@ -414,6 +414,19 @@ def _first_pass_end(tables):
     return int(pos[-1])
 
 
+@pytest.mark.parametrize("log_q", [-1e-6, -0.0101, -0.105, -0.446])
+def test_gap_pass_matches_the_log1p_transform(log_q):
+    """2**20 gaps of ln(1 - U) times the stored 1 / ln q, floored, plus 1,
+    equal those of the reference floor(log1p(-U) / ln q) + 1 on the same
+    draws bit for bit: 1 - U is exact, since U is a multiple of 2**-53."""
+    tables = counting._PulseTables(5, log_q, 1.0 / log_q, np.zeros(2))
+    words = 1 << 20
+    got = _pass_steps(tables, words)
+    u = _streams(tables)[0].random(words)
+    assert np.all(u * 2.0**53 == np.floor(u * 2.0**53))
+    np.testing.assert_array_equal(got, np.floor(np.log1p(-u) / log_q) + 1.0)
+
+
 @pytest.mark.parametrize("words_per_pass", [1, 3, 4097, counting.ROW_WORDS])
 def test_event_positions_do_not_depend_on_gap_word_oversupply(monkeypatch, words_per_pass):
     """Each run spans three full passes and 123 pulses of a fourth, or about

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pulsepair import source
 from pulsepair import (
     SourceConfig,
     amplitude_ratio,
@@ -62,6 +63,75 @@ def test_source_config_validation():
 def test_source_config_rejects_non_finite_fields(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         SourceConfig(**{field: value})
+
+
+# --- emitted-state cache ---------------------------------------------------------
+
+
+def _uncached(cfg):
+    """The state built afresh, past the cache."""
+    fields = (cfg.pump_angle, cfg.gain_up, cfg.gain_down, cfg.relative_phase, cfg.overlap_mu)
+    return source._state.__wrapped__(*fields)
+
+
+def _bits(rho):
+    m = rho.matrix
+    return m.tobytes(), np.signbit(m.real).tobytes(), np.signbit(m.imag).tobytes()
+
+
+def test_equal_configs_share_one_state():
+    cfg = SourceConfig(pump_angle=0.61, gain_down=0.8, relative_phase=0.3, overlap_mu=0.9)
+    rho = emitted_state(cfg)
+    assert emitted_state(SourceConfig(0.61, 1.0, 0.8, 0.3, 0.9, 0.01)) is rho
+    # the state does not depend on the mean pair number
+    assert emitted_state(SourceConfig(0.61, 1.0, 0.8, 0.3, 0.9, 2.0)) is rho
+    assert _bits(rho) == _bits(_uncached(cfg))
+
+
+@pytest.mark.parametrize("field", ["pump_angle", "relative_phase", "gain_down"])
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_signed_zero_fields_give_the_uncached_state_in_any_order(field, first):
+    """0.0 == -0.0, so configs differing in a zero's sign share an entry;
+    whichever comes first, each gets the entries and sign bits that its own
+    uncached construction gives."""
+    bases = [{}, {"pump_angle": np.pi / 2}, {"relative_phase": np.pi}, {"overlap_mu": 0.0},
+             {"pump_angle": 0.3, "gain_down": 0.7, "relative_phase": -1.2}]
+    for base in bases:
+        source._state.cache_clear()
+        for value in (first, -first):
+            cfg = SourceConfig(**{**base, field: value})
+            assert _bits(emitted_state(cfg)) == _bits(_uncached(cfg)), (base, value)
+
+
+def test_state_cache_is_bounded():
+    size = source._state.cache_info().maxsize
+    assert size is not None
+    configs = [SourceConfig(pump_angle=0.01 * (i + 1)) for i in range(size + 5)]
+    first = emitted_state(configs[0])
+    for cfg in configs[1:]:
+        emitted_state(cfg)
+    assert source._state.cache_info().currsize == size
+    rebuilt = emitted_state(configs[0])
+    assert rebuilt is not first and _bits(rebuilt) == _bits(first)
+
+
+def test_numpy_scalar_fields_do_not_share_the_float_entry():
+    """np.float32(0.5) == 0.5, but its cosine is taken in float32."""
+    single = emitted_state(SourceConfig(pump_angle=np.float32(0.5)))
+    double = emitted_state(SourceConfig(pump_angle=0.5))
+    assert _bits(single) == _bits(_uncached(SourceConfig(pump_angle=np.float32(0.5))))
+    assert _bits(double) == _bits(_uncached(SourceConfig(pump_angle=0.5)))
+    assert single is not double
+
+
+def test_degenerate_source_raises_on_every_call():
+    cfg = SourceConfig()
+    # past the config's own check, so the state's check is reached
+    object.__setattr__(cfg, "gain_up", 0.0)
+    object.__setattr__(cfg, "gain_down", 0.0)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="degenerate source"):
+            emitted_state(cfg)
 
 
 def test_amplitude_ratio():
